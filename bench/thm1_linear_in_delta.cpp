@@ -12,27 +12,20 @@
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
-#include <filesystem>
 #include <map>
-#include <memory>
 #include <sstream>
 
 #include "bench_util.hpp"
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/core/certificate.hpp"
-#include "ldlb/fault/fleet.hpp"
 #include "ldlb/graph/generators.hpp"
 #include "ldlb/local/simulator.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/recover/cert_log.hpp"
-#include "ldlb/recover/snapshot_store.hpp"
-#include "ldlb/util/ipc.hpp"
-#include "ldlb/util/net.hpp"
 #include "ldlb/util/rng.hpp"
 #include "ldlb/util/thread_pool.hpp"
 #include "ldlb/view/ball_store.hpp"
@@ -88,66 +81,28 @@ int measured_rounds_on_loopy_graphs(EcAlgorithm& alg, int delta) {
 }
 
 // One engine configuration to sweep: `threads` is the global pool size
-// (1 = serial, 0 = hardware default), `workers` the fleet process count
-// (0 = in-process run_adversary; >0 = run_adversary_fleet, whose output
-// is byte-identical but whose wall time includes the IPC round-trips).
-// `socket` routes the fleet over the TCP transport to a freshly forked
-// localhost daemon instead of forked pipe workers, so the telemetry
-// separates framing/handshake/heartbeat overhead from fork overhead.
+// (1 = serial, 0 = hardware default).
 struct SweepConfig {
   int threads = 1;
-  int workers = 0;
-  bool socket = false;
   bool print_table = false;
 };
-
-const char* transport_name(const SweepConfig& config) {
-  if (config.workers == 0) return "in-process";
-  return config.socket ? "socket" : "pipe";
-}
 
 void sweep(bench::JsonWriter& json, const SweepConfig& config,
            const std::map<int, double>& baseline) {
   ThreadPool::set_global_threads(config.threads);
-  const std::string snapshot =
-      (std::filesystem::temp_directory_path() /
-       ("ldlb_bench_" + std::to_string(::getpid()) + ".snap"))
-          .string();
 
   bench::Table table{{"delta", "lower>=(adv)", "SeqColor", "TwoPhase",
                       "upper/lower"}};
   if (config.print_table) table.print_header();
 
-  // In-process configs sweep to the canonical ball engine's working
-  // ceiling (Δ = 20, final graphs ~2^18 nodes); fleet configs stop at 12 —
-  // beyond that the measurement is dominated by shipping multi-megabyte
-  // graphs over the IPC channel, not by the engine under test.
-  const int max_delta = config.workers == 0 ? 20 : 12;
-
+  // Sweep to the canonical ball engine's working ceiling (Δ = 20, final
+  // graphs ~2^18 nodes).
   json.begin_object()
       .key("threads").value(global_pool().size())
-      .key("workers").value(config.workers)
-      .key("transport").value(transport_name(config))
       .key("runs").begin_array();
-  for (int delta = 3; delta <= max_delta; ++delta) {
+  for (int delta = 3; delta <= 20; ++delta) {
     SeqColorPacking seq{delta};
     TwoPhasePacking two{delta};
-    const AlgorithmFactory factory = [delta]() {
-      return std::make_unique<SeqColorPacking>(delta);
-    };
-    // Socket configs serve every rep's worker connections for this delta
-    // from one localhost daemon (the daemon forks a child per connection,
-    // so the measured cost is framing + handshake, not daemon startup).
-    pid_t daemon_pid = -1;
-    std::vector<RemoteEndpoint> remotes;
-    if (config.workers > 0 && config.socket) {
-      net::Listener listener = net::Listener::on("127.0.0.1", 0);
-      remotes.push_back({"127.0.0.1", listener.port()});
-      daemon_pid = ipc::spawn_child([&listener, factory, delta]() {
-        return run_fleet_daemon(factory, delta, listener);
-      });
-      listener.close();
-    }
     // Min over a few repetitions: single-shot wall times on shared CI
     // machines jitter by 10-20%, enough to blur a 2x comparison. The ball
     // cache is cleared before every repetition so each one is a cold-cache
@@ -159,33 +114,17 @@ void sweep(bench::JsonWriter& json, const SweepConfig& config,
     double validate_ms = 0.0;
     bool valid = false;
     LowerBoundCertificate cert;
-    FleetReport fleet_report;
     const BallStoreStats stats_before = ball_store_stats();
     for (int rep = 0; rep < reps; ++rep) {
       clear_ball_encoding_cache();
       auto t0 = std::chrono::steady_clock::now();
-      if (config.workers > 0) {
-        SnapshotStore store{snapshot};
-        store.remove();  // a fresh chain every rep, never a resume
-        FleetOptions options;
-        options.workers = config.workers;
-        options.remotes = remotes;
-        cert = run_adversary_fleet(factory, delta, store, options,
-                                   &fleet_report);
-        store.remove();
-      } else {
-        cert = run_adversary(seq, delta);
-      }
+      cert = run_adversary(seq, delta);
       const double a = elapsed_ms(t0);
       t0 = std::chrono::steady_clock::now();
       valid = certificate_is_valid(cert, seq, /*check_loopiness=*/false);
       const double v = elapsed_ms(t0);
       if (rep == 0 || a < adversary_ms) adversary_ms = a;
       if (rep == 0 || v < validate_ms) validate_ms = v;
-    }
-    if (daemon_pid > 0) {
-      ipc::kill_process(daemon_pid);
-      (void)ipc::wait_exit(daemon_pid, Deadline::in(10.0));
     }
     int lower = cert.certified_radius() + 1;  // needs > Δ-2, i.e. >= Δ-1
     int seq_rounds = measured_rounds_on_loopy_graphs(seq, delta);
@@ -208,20 +147,11 @@ void sweep(bench::JsonWriter& json, const SweepConfig& config,
     // Durability telemetry: the append-only streaming-log footprint of this
     // chain (recover/cert_log.hpp), and the process peak RSS after the
     // fully-resident validation pass — the quantity the streaming validator
-    // exists to undercut (see docs/ROBUSTNESS.md). For fleet configs, how
-    // long the coordinator spent shipping its interned ball table to warm
-    // (re)spawned workers — a cache-priming cost that buys the per-level
-    // re-simulations and must never alter a certificate byte.
+    // exists to undercut (see docs/ROBUSTNESS.md).
     json.key("cert_log_bytes")
         .value(static_cast<long long>(CertificateLog::serialize(cert).size()))
         .key("validate_peak_rss_kb")
         .value(static_cast<long long>(peak_rss_kb()));
-    if (config.workers > 0) {
-      json.key("ball_table_ship_ms").value(fleet_report.ball_table_ship_ms)
-          .key("ball_table_bytes")
-          .value(static_cast<long long>(fleet_report.ball_table_bytes))
-          .key("ball_tables_shipped").value(fleet_report.ball_tables_shipped);
-    }
     // Canonical ball engine telemetry for this delta point (all reps): how
     // often key queries were answered from the (graph, node, radius) memo,
     // and how often sub-ball signatures were already interned (structure
@@ -259,19 +189,12 @@ void report() {
       "Theorem 1: certified lower bound vs measured upper bound (rounds)");
   const std::map<int, double> baseline = parse_baseline_env();
 
-  // Serial reference (prints the reproduction table), the multi-threaded
-  // speculative engine, and the coordinator/worker fleet at two sizes on
-  // each transport — all producing byte-identical certificates, so the
-  // telemetry compares pure engine overheads/speedups on one axis per
-  // config (and socket vs pipe isolates the TCP framing cost).
+  // Serial reference (prints the reproduction table) and the
+  // multi-threaded speculative engine — both producing byte-identical
+  // certificates, so the telemetry compares pure engine speedups.
   const SweepConfig configs[] = {
-      {/*threads=*/1, /*workers=*/0, /*socket=*/false, /*print_table=*/true},
-      {/*threads=*/0, /*workers=*/0, /*socket=*/false,
-       /*print_table=*/false},  // hw threads
-      {/*threads=*/1, /*workers=*/2, /*socket=*/false, /*print_table=*/false},
-      {/*threads=*/1, /*workers=*/4, /*socket=*/false, /*print_table=*/false},
-      {/*threads=*/1, /*workers=*/2, /*socket=*/true, /*print_table=*/false},
-      {/*threads=*/1, /*workers=*/4, /*socket=*/true, /*print_table=*/false},
+      {/*threads=*/1, /*print_table=*/true},
+      {/*threads=*/0, /*print_table=*/false},  // hw threads
   };
   bench::JsonWriter json;
   json.begin_object()

@@ -11,11 +11,14 @@
 //
 // `generate` runs the Section-4 adversary against the chosen algorithm and
 // writes either the classic one-shot certificate text or (--log) the
-// append-only streaming certificate log (recover/cert_log). `validate`
-// reloads a classic certificate fully resident and re-verifies every level;
-// `verify --stream` does the same against a certificate log while holding
-// O(one level) in memory — both report peak_rss_kb so the CI stage can pin
-// the streaming validator's footprint below the resident one. `convert`
+// append-only streaming certificate log (recover/cert_log). With --log the
+// chain is built by the resumable engine, checkpointing each level as it
+// is certified: rerunning over an interrupted or torn log resumes from its
+// salvaged prefix and repairs the file. `validate` reloads a classic
+// certificate fully resident and re-verifies every level; `verify --stream`
+// does the same against a certificate log while holding O(one level) in
+// memory — both report peak_rss_kb so the CI stage can pin the streaming
+// validator's footprint below the resident one. `convert`
 // translates between the two formats by sniffing the input's magic line;
 // `inspect` dumps the log's per-record geometry and checksum chain and
 // classifies any damage; `dot` renders one level's pair (G_i, H_i) as
@@ -42,6 +45,7 @@
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/recover/cert_log.hpp"
+#include "ldlb/recover/resumable_adversary.hpp"
 #include "ldlb/util/checksum.hpp"
 
 namespace {
@@ -125,17 +129,19 @@ int run_generate(int delta, const std::string& kind, const std::string& out,
   if (!s.alg || delta < 2 || delta > 24) return usage();
   AdversaryOptions opts;
   opts.max_rounds = 40000;
-  LowerBoundCertificate cert = run_adversary(*s.alg, delta, opts);
   if (as_log) {
-    // The log is built the way a resumable run would build it: record by
-    // record through the audited append path.
+    // Record by record through the audited append path; an existing log's
+    // re-validated prefix is kept and only the missing levels are built.
     CertificateLog log{out};
-    log.remove();
-    log.checkpoint(cert);
+    ResumeOptions resume;
+    resume.adversary = opts;
+    const LowerBoundCertificate cert =
+        run_adversary_resumable(*s.alg, delta, log, resume);
     std::cout << "wrote certificate log: delta=" << delta << ", levels 0.."
               << cert.certified_radius() << ", algorithm '"
               << cert.algorithm_name << "'\n";
   } else {
+    LowerBoundCertificate cert = run_adversary(*s.alg, delta, opts);
     // Atomic replace: a crash (or full disk) mid-write cannot leave a
     // torn certificate behind.
     write_certificate_file(out, cert);

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Runs the adversary benchmark suite and leaves machine-readable telemetry
-# in BENCH_adversary.json: one sweep per engine config — serial, the
-# multi-threaded speculative engine (threads > 1 on multicore hosts), and
-# the coordinator/worker fleet at 2 and 4 workers — with per-Δ wall time,
-# certified radius and graph sizes in each (see docs/PERFORMANCE.md for
-# the schema).
+# in BENCH_adversary.json: one sweep per engine config — serial and the
+# multi-threaded speculative engine (threads > 1 on multicore hosts) — with
+# per-Δ wall time, certified radius and graph sizes in each (see
+# docs/PERFORMANCE.md for the schema).
 #
 # LDLB_BENCH_BASELINE holds reference "delta:ms" pairs that the bench embeds
 # next to the current numbers so speedups/regressions are visible in one

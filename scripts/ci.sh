@@ -8,18 +8,11 @@
 # then an AddressSanitizer+UBSan build (see LDLB_SANITIZE in the top
 # CMakeLists) — plus a ThreadSanitizer pass over the concurrency-bearing
 # suites with the thread pool forced wide, a bounded chaos-soak stage
-# (randomized cancel/crash/env-fault/resume/fleet-kill/net-fault cycles) on
-# the plain and ASan trees, a fleet-determinism stage that byte-compares
-# the coordinator/worker engine's certificates across worker counts, kill-9
-# histories and a crash/resume cycle, and a socket-fleet stage that repeats
-# the byte-comparison over the TCP transport against a live worker daemon
-# (plus disconnect chaos and the exit-4 / degradation ladder smokes), a
-# certificate-log streaming stage (a Δ=20 chain built once into the
-# append-only log, stream-validated in bounded memory with the peak RSS
-# pinned below the fully-resident validator, format round-trips, torn-tail
-# resume and env-fault injection smokes), a ball-table shipping stage that
-# byte-compares warm-started fleets against --no-ball-ship cold starts
-# across transports, worker counts and kill histories, and a
+# (randomized cancel/crash/env-fault/resume/certlog-kill cycles) on the
+# plain and ASan trees, a certificate-log streaming stage (a Δ=20 chain
+# built once into the append-only log, stream-validated in bounded memory
+# with the peak RSS pinned below the fully-resident validator, format
+# round-trips, torn-tail resume and env-fault injection smokes), and a
 # perf-regression gate that holds the Δ=12 adversary+validate chain within
 # 2x of the checked-in canonical-ball-engine baseline. All stages must be
 # green.
@@ -47,133 +40,17 @@ run_suite() {
 
 run_chaos() {
   local dir="$1" cycles="$2"
-  echo "== chaos soak ($dir, ${cycles} cycles, seed ${chaos_seed}, fleet-kill + net-fault + certlog on) =="
-  # LDLB_CHAOS_KILL=1 keeps the worker-SIGKILL fleet scenario in the
-  # rotation, LDLB_CHAOS_NET=1 the socket-fleet network-fault scenario, and
-  # LDLB_CHAOS_CERTLOG=1 the certificate-log writer-kill scenario (plus the
-  # per-cycle snapshot/log store alternation); set any to 0 to soak without
-  # that interference (e.g. under a debugger).
+  echo "== chaos soak ($dir, ${cycles} cycles, seed ${chaos_seed}, certlog on) =="
+  # LDLB_CHAOS_CERTLOG=1 keeps the certificate-log writer-kill scenario in
+  # the rotation (plus the per-cycle snapshot/log store alternation); set it
+  # to 0 to soak without that interference (e.g. under a debugger).
   if ! LDLB_CHAOS_SEED="$chaos_seed" LDLB_CHAOS_CYCLES="$cycles" \
       LDLB_SLOW_CHECKS=1 \
-      LDLB_CHAOS_KILL="${LDLB_CHAOS_KILL:-1}" \
-      LDLB_CHAOS_NET="${LDLB_CHAOS_NET:-1}" \
       LDLB_CHAOS_CERTLOG="${LDLB_CHAOS_CERTLOG:-1}" \
       "$dir/tests/chaos_soak"; then
     echo "chaos soak failed; reproduce with LDLB_CHAOS_SEED=${chaos_seed}" >&2
     exit 1
   fi
-}
-
-# Byte-compares ldlb_fleet certificates across worker counts and kill
-# histories, then smokes the crash-stop/resume cycle. The kill seeds are
-# fixed (and logged by the driver) so a divergence is replayable.
-run_fleet_determinism() {
-  local dir="$1" bin="$1/tools/fleet/ldlb_fleet"
-  local tmp; tmp="$(mktemp -d)"
-  echo "== fleet determinism ($dir, delta 4..10 x workers 0/1/2/4 + chaos) =="
-  local delta workers
-  for delta in 4 5 6 7 8 9 10; do
-    "$bin" --delta "$delta" --workers 0 --snapshot "$tmp/ref.snap" \
-      --print > "$tmp/ref.txt"
-    for workers in 1 2 4; do
-      "$bin" --delta "$delta" --workers "$workers" --snapshot "$tmp/w.snap" \
-        --print > "$tmp/w.txt"
-      if ! cmp -s "$tmp/ref.txt" "$tmp/w.txt"; then
-        echo "fleet certificate diverged: delta $delta, $workers workers" >&2
-        exit 1
-      fi
-    done
-    "$bin" --delta "$delta" --workers 2 --kill-every-level "$((delta * 1009))" \
-      --snapshot "$tmp/k.snap" --print > "$tmp/k.txt"
-    if ! cmp -s "$tmp/ref.txt" "$tmp/k.txt"; then
-      echo "fleet certificate diverged under kill-9 chaos at delta $delta" >&2
-      exit 1
-    fi
-  done
-  # The crash/resume smoke runs over the append-only certificate log so
-  # the fleet + cert-log checkpoint path is part of the gate.
-  local rc=0
-  "$bin" --delta 8 --workers 2 --abort-after-level 3 \
-    --log "$tmp/resume.log" > /dev/null || rc=$?
-  if [ "$rc" -ne 3 ]; then
-    echo "fleet crash-stop smoke: expected exit 3, got $rc" >&2
-    exit 1
-  fi
-  "$bin" --delta 8 --workers 2 --resume --log "$tmp/resume.log" \
-    --print > "$tmp/resumed.txt"
-  "$bin" --delta 8 --workers 0 --snapshot "$tmp/ref.snap" \
-    --print > "$tmp/ref.txt"
-  if ! cmp -s "$tmp/ref.txt" "$tmp/resumed.txt"; then
-    echo "fleet certificate diverged across the crash/resume cycle" >&2
-    exit 1
-  fi
-  rm -rf "$tmp"
-}
-
-# Repeats the byte-comparison over the TCP transport: one live worker
-# daemon per delta (ephemeral port, parsed from its announcement line),
-# a clean socket run and a disconnect-chaos run against it, then the
-# documented remote failure modes — exit 4 when a dead endpoint may not
-# degrade, and the full socket→pipe fallback with reference bytes when it
-# may.
-run_socket_fleet_determinism() {
-  local dir="$1" bin="$1/tools/fleet/ldlb_fleet"
-  local tmp; tmp="$(mktemp -d)"
-  echo "== socket fleet determinism ($dir, delta 4..8 + disconnect chaos + degradation smokes) =="
-  local delta port daemon_pid
-  for delta in 4 5 6 7 8; do
-    "$bin" --delta "$delta" --workers 0 --snapshot "$tmp/ref.snap" \
-      --print > "$tmp/ref.txt"
-    "$bin" --delta "$delta" --listen 0 > "$tmp/daemon.$delta.log" &
-    daemon_pid=$!
-    port=""
-    for _ in $(seq 1 100); do
-      port="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' \
-        "$tmp/daemon.$delta.log")"
-      [ -n "$port" ] && break
-      sleep 0.05
-    done
-    if [ -z "$port" ]; then
-      echo "socket fleet daemon did not announce a port (delta $delta)" >&2
-      kill "$daemon_pid" 2>/dev/null || true
-      exit 1
-    fi
-    "$bin" --delta "$delta" --workers 2 --connect "127.0.0.1:$port" \
-      --snapshot "$tmp/s.snap" --print > "$tmp/s.txt"
-    if ! cmp -s "$tmp/ref.txt" "$tmp/s.txt"; then
-      echo "socket fleet certificate diverged: delta $delta" >&2
-      exit 1
-    fi
-    "$bin" --delta "$delta" --workers 2 --connect "127.0.0.1:$port" \
-      --kill-every-level "$((delta * 2027))" \
-      --snapshot "$tmp/sk.snap" --print > "$tmp/sk.txt"
-    if ! cmp -s "$tmp/ref.txt" "$tmp/sk.txt"; then
-      echo "socket fleet diverged under disconnect chaos at delta $delta" >&2
-      exit 1
-    fi
-    kill "$daemon_pid" 2>/dev/null || true
-    wait "$daemon_pid" 2>/dev/null || true
-  done
-  # A dead endpoint with degradation refused must exit 4 (remote transport
-  # exhausted), the code the --help contract documents for automation.
-  local rc=0
-  "$bin" --delta 5 --workers 2 --connect 127.0.0.1:1 --no-degrade \
-    --snapshot "$tmp/dead.snap" > /dev/null 2>&1 || rc=$?
-  if [ "$rc" -ne 4 ]; then
-    echo "socket exhaustion smoke: expected exit 4, got $rc" >&2
-    exit 1
-  fi
-  # The same dead endpoint with degradation on must walk the ladder to the
-  # pipe transport and still produce the reference bytes.
-  "$bin" --delta 5 --workers 0 --snapshot "$tmp/ref.snap" \
-    --print > "$tmp/ref.txt"
-  "$bin" --delta 5 --workers 2 --connect 127.0.0.1:1 \
-    --snapshot "$tmp/deg.snap" --print > "$tmp/deg.txt"
-  if ! cmp -s "$tmp/ref.txt" "$tmp/deg.txt"; then
-    echo "degraded socket fleet diverged from the reference bytes" >&2
-    exit 1
-  fi
-  rm -rf "$tmp"
 }
 
 # Certificate-log streaming gate: one Δ=20 chain into the append-only log,
@@ -183,7 +60,6 @@ run_socket_fleet_determinism() {
 # env-fault injection paths pinned to the documented exit code 5.
 run_certlog_stream() {
   local dir="$1" tool="$1/examples/certificate_tool"
-  local fleet="$1/tools/fleet/ldlb_fleet"
   local tmp; tmp="$(mktemp -d)"
   echo "== certificate log streaming ($dir, delta 20 bounded-memory validation + torn resume + env faults) =="
   "$tool" generate --log 20 seq "$tmp/d20.log" > /dev/null
@@ -204,11 +80,12 @@ run_certlog_stream() {
   # Round-trip: log -> classic -> log reproduces the log byte for byte.
   "$tool" convert "$tmp/d20.txt" "$tmp/d20.rt.log" > /dev/null
   cmp "$tmp/d20.log" "$tmp/d20.rt.log"
-  # Torn tail: cut into the last record, resume over the log, and demand
-  # the repaired file byte-identical to the never-torn one.
+  # Torn tail: cut into the last record, rerun generate over the log (it
+  # resumes from the salvaged prefix), and demand the repaired file
+  # byte-identical to the never-torn one.
   head -c "$(($(stat -c %s "$tmp/d20.log") - 57))" "$tmp/d20.log" \
     > "$tmp/torn.log"
-  "$fleet" --delta 20 --workers 0 --resume --log "$tmp/torn.log" > /dev/null
+  "$tool" generate --log 20 seq "$tmp/torn.log" > /dev/null
   cmp "$tmp/d20.log" "$tmp/torn.log"
   # Injected environment faults surface as exit 5 — never as log damage
   # (the injected-truncate repair path is pinned by the chaos soak's
@@ -230,79 +107,10 @@ run_certlog_stream() {
     fi
   done
   # A generate interrupted by the injected fault must leave a store a clean
-  # rerun repairs: the rerun starts fresh and the log then verifies.
+  # rerun repairs: the rerun resumes from whatever prefix the store
+  # salvaged (possibly none) and the log then verifies.
   "$tool" generate --log 6 seq "$tmp/f.log" > /dev/null
   "$tool" verify --stream 6 seq "$tmp/f.log" > /dev/null
-  rm -rf "$tmp"
-}
-
-# Ball-table shipping gate: warm-started fleets (the default) must be
-# byte-identical to --no-ball-ship cold starts across worker counts, both
-# transports and kill-respawn histories — shipping is a warm-start cache
-# and must never influence a certificate byte.
-run_ball_ship_matrix() {
-  local dir="$1" bin="$1/tools/fleet/ldlb_fleet"
-  local tmp; tmp="$(mktemp -d)"
-  echo "== ball-table shipping ($dir, delta 6/8 x workers x transports x kill vs --no-ball-ship) =="
-  local delta workers
-  for delta in 6 8; do
-    "$bin" --delta "$delta" --workers 0 --log "$tmp/ref.log" \
-      --print > "$tmp/ref.txt"
-    for workers in 1 2 4; do
-      "$bin" --delta "$delta" --workers "$workers" --log "$tmp/w.log" \
-        --print > "$tmp/w.txt"
-      cmp -s "$tmp/ref.txt" "$tmp/w.txt" || {
-        echo "warm fleet diverged: delta $delta, $workers workers" >&2
-        exit 1
-      }
-      "$bin" --delta "$delta" --workers "$workers" --no-ball-ship \
-        --log "$tmp/c.log" --print > "$tmp/c.txt"
-      cmp -s "$tmp/ref.txt" "$tmp/c.txt" || {
-        echo "cold fleet diverged: delta $delta, $workers workers" >&2
-        exit 1
-      }
-    done
-    # Kill chaos: every respawn re-ships the table; bytes must not move.
-    "$bin" --delta "$delta" --workers 2 \
-      --kill-every-level "$((delta * 3011))" --log "$tmp/k.log" \
-      --print > "$tmp/k.txt"
-    cmp -s "$tmp/ref.txt" "$tmp/k.txt" || {
-      echo "warm fleet diverged under kill chaos at delta $delta" >&2
-      exit 1
-    }
-  done
-  # Socket transport: the table ships over TCP to a live daemon, with and
-  # without kill chaos, and a cold-start control.
-  local port daemon_pid
-  "$bin" --delta 6 --workers 0 --log "$tmp/ref.log" --print > "$tmp/ref.txt"
-  "$bin" --delta 6 --listen 0 > "$tmp/daemon.log" &
-  daemon_pid=$!
-  port=""
-  for _ in $(seq 1 100); do
-    port="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$tmp/daemon.log")"
-    [ -n "$port" ] && break
-    sleep 0.05
-  done
-  if [ -z "$port" ]; then
-    echo "ball-ship daemon did not announce a port" >&2
-    kill "$daemon_pid" 2>/dev/null || true
-    exit 1
-  fi
-  local mode flags
-  for mode in warm cold kill; do
-    flags=""
-    [ "$mode" = cold ] && flags="--no-ball-ship"
-    [ "$mode" = kill ] && flags="--kill-every-level 6007"
-    # shellcheck disable=SC2086
-    "$bin" --delta 6 --workers 2 --connect "127.0.0.1:$port" $flags \
-      --log "$tmp/s.log" --print > "$tmp/s.txt"
-    cmp -s "$tmp/ref.txt" "$tmp/s.txt" || {
-      echo "socket fleet diverged in ball-ship mode '$mode'" >&2
-      exit 1
-    }
-  done
-  kill "$daemon_pid" 2>/dev/null || true
-  wait "$daemon_pid" 2>/dev/null || true
   rm -rf "$tmp"
 }
 
@@ -323,10 +131,7 @@ run_suite build -DLDLB_WERROR=ON
 echo "== perf gate (delta 12 canonical ball engine) =="
 build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta12_ms.txt
 run_chaos build 25
-run_fleet_determinism build
-run_socket_fleet_determinism build
 run_certlog_stream build
-run_ball_ship_matrix build
 
 echo "== address+undefined sanitizer build =="
 # Sanitized builds are slower: relax the cancel-latency assertion and run a
@@ -337,10 +142,8 @@ run_chaos build-asan 10
 
 # ThreadSanitizer stage: the suites that exercise the thread pool (the
 # parallel simulator, speculative adversary, concurrent validator, and the
-# serial/parallel byte-identity tests) plus the thread-based socket
-# transport suite (net_test is fork-free by design so TSan can watch the
-# heartbeat/deadline threads), run with LDLB_THREADS=8 so races are
-# reachable even on single-core CI machines. TSan and ASan cannot be
+# serial/parallel byte-identity tests), run with LDLB_THREADS=8 so races
+# are reachable even on single-core CI machines. TSan and ASan cannot be
 # combined, hence the separate build tree.
 echo "== thread sanitizer build =="
 cmake -B build-tsan -S . "-DLDLB_SANITIZE=thread"
@@ -348,6 +151,6 @@ cmake --build build-tsan -j "$jobs"
 LDLB_THREADS=8 LDLB_SLOW_CHECKS=1 \
   LDLB_CANCEL_LATENCY_MS="${LDLB_CANCEL_LATENCY_MS:-2000}" \
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R 'simulator_test|full_info_test|adversary_test|certificate_test|parallel_determinism_test|cancellation_test|net_test|canonical_ball_test'
+  -R 'simulator_test|full_info_test|adversary_test|certificate_test|parallel_determinism_test|cancellation_test|canonical_ball_test'
 
-echo "CI green: lint+analyze, plain (werror), perf-gate, fleet-determinism (pipe + socket), certlog-stream, ball-ship matrix, asan/ubsan, tsan, and chaos-soak stages all pass."
+echo "CI green: lint+analyze, plain (werror), perf-gate, certlog-stream, asan/ubsan, tsan, and chaos-soak stages all pass."

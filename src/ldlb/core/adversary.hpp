@@ -86,10 +86,9 @@ CertificateLevel adversary_step(EcAlgorithm& algorithm, int delta,
 // construction — the mix GH and the two unfoldings GG, HH — and (b) three
 // independent simulations of the algorithm, one per constructed graph, and
 // (c) a deterministic combine that compares weights, propagates the
-// disagreement and emits the next level. The fleet engine (fault/fleet.hpp)
-// ships the three graphs of (b) to worker processes and feeds the returned
-// matchings into (c); the in-process paths below are thin wrappers over the
-// same plan/combine pair, so every execution mode shares one construction.
+// disagreement and emits the next level. The serial and speculative paths
+// below are thin wrappers over the same plan/combine pair, so every
+// execution mode shares one construction.
 // ---------------------------------------------------------------------------
 
 /// The step's three speculative simulation inputs, plus the bookkeeping the
@@ -110,9 +109,9 @@ AdversaryStepPlan plan_adversary_step(const CertificateLevel& prev);
 
 /// Supplies the matching of the branch the decision selected: called with
 /// `want_gg` true for the GG branch, false for HH — at most once. May
-/// compute lazily (serial path), return a precomputed result (speculative
-/// path) or a worker's reply (fleet); it surfaces that branch's failure by
-/// throwing, exactly as the lazy serial path would.
+/// compute lazily (serial path) or return a precomputed result (speculative
+/// path); it surfaces that branch's failure by throwing, exactly as the
+/// lazy serial path would.
 using BranchFetch = std::function<FractionalMatching(bool want_gg)>;
 
 /// Deterministic second half of the step: decides the case from y_gh's

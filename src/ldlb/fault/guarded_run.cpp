@@ -32,9 +32,6 @@ GuardedOutcome classify(Body&& body) {
     outcome.status = RunStatus::kEnvFault;
     outcome.error = e.what();
     outcome.env_errno = e.error_code();
-  } catch (const WorkerLost& e) {
-    outcome.status = RunStatus::kWorkerLost;
-    outcome.error = e.what();
   } catch (const Error& e) {
     outcome.status = RunStatus::kContractViolation;
     outcome.error = e.what();
@@ -66,28 +63,8 @@ const char* to_string(RunStatus status) {
       return "env-fault";
     case RunStatus::kContractViolation:
       return "contract-violation";
-    case RunStatus::kWorkerLost:
-      return "worker-lost";
   }
   return "unknown";
-}
-
-bool run_status_from_string(std::string_view token, RunStatus& out) {
-  // Sweeping the enumerator list keeps this the exact inverse of
-  // to_string; status_strings_test round-trips every value.
-  constexpr RunStatus kAll[] = {
-      RunStatus::kOk,           RunStatus::kBudgetExceeded,
-      RunStatus::kModelViolation, RunStatus::kFaultInjected,
-      RunStatus::kCancelled,    RunStatus::kEnvFault,
-      RunStatus::kContractViolation, RunStatus::kWorkerLost,
-  };
-  for (RunStatus status : kAll) {
-    if (token == to_string(status)) {
-      out = status;
-      return true;
-    }
-  }
-  return false;
 }
 
 std::string GuardedOutcome::classification() const {

@@ -21,7 +21,6 @@
 
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/core/certificate.hpp"
@@ -40,17 +39,9 @@ enum class RunStatus {
   kCancelled,          ///< a CancellationToken (or its deadline) fired
   kEnvFault,           ///< the environment failed: I/O error or bad_alloc
   kContractViolation,  ///< a precondition or internal invariant failed
-  kWorkerLost,         ///< a fleet worker process died / hung / sent a
-                       ///< corrupt frame beyond the respawn budget
 };
 
 [[nodiscard]] const char* to_string(RunStatus status);
-
-/// Inverse of to_string: parses the one-token status vocabulary (used by
-/// the fleet wire protocol to carry a worker's classification back to the
-/// coordinator). Returns false on an unknown token, leaving `out` alone.
-[[nodiscard]] bool run_status_from_string(std::string_view token,
-                                          RunStatus& out);
 
 struct GuardedRunOptions {
   RunBudget budget;

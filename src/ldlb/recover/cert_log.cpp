@@ -487,8 +487,8 @@ CertLogValidation validate_certificate_log(
   detail::CertLogGeometry geom;
   out.log = walk_log(
       path, geom, [&](const CertLogRecordInfo& info, CertificateLevel&& lv) {
-        // The same singleton-chain trick the fleet's "validate" verb uses:
-        // levels validate independently, so one level at a time is enough.
+        // Levels validate independently, so a singleton chain holding one
+        // level at a time is enough.
         LowerBoundCertificate one;
         one.delta = geom.delta;
         one.algorithm_name = algorithm.name();

@@ -137,9 +137,9 @@ struct CertLogRecordInfo {
 };
 
 /// The append-only certificate log as a CheckpointStore: the durable home
-/// of a resumable (or fleet) adversary run. checkpoint() appends only the
-/// records the file is missing — O(one level) per certified level — after
-/// truncating a torn tail or resetting an unrecoverable file.
+/// of a resumable adversary run. checkpoint() appends only the records the
+/// file is missing — O(one level) per certified level — after truncating a
+/// torn tail or resetting an unrecoverable file.
 class CertificateLog : public CheckpointStore {
  public:
   /// A log at `path`; the file need not exist yet.

@@ -3,11 +3,11 @@
 // Two on-disk shapes hold a partial certificate chain today: the rewrite-
 // whole-file snapshot (recover/snapshot_store.hpp, PR 2) and the
 // append-only streaming certificate log (recover/cert_log.hpp). The
-// resumable engine (resumable_adversary.hpp) and the fleet coordinator
-// (fault/fleet.hpp) only need three capabilities from either — load the
-// longest trusted prefix, durably checkpoint the chain after each level,
-// start over — so they program against this interface and a run can be
-// pointed at either store without recompiling callers.
+// resumable engine (resumable_adversary.hpp) only needs three capabilities
+// from either — load the longest trusted prefix, durably checkpoint the
+// chain after each level, start over — so it programs against this
+// interface and a run can be pointed at either store without recompiling
+// callers.
 #pragma once
 
 #include <string>

@@ -16,10 +16,6 @@ bool RetryPolicy::transient(RunStatus status, int io_errno) const {
       // A full disk can drain, an interrupted call can be re-issued; a
       // hardware-level EIO (or an unattributed failure) will not improve.
       return io_errno == ENOSPC || io_errno == EAGAIN || io_errno == EINTR;
-    case RunStatus::kWorkerLost:
-      // A dead/hung/corrupted worker process says nothing about the
-      // algorithm; a replacement worker replays the same tasks.
-      return true;
     case RunStatus::kOk:
     case RunStatus::kModelViolation:
     case RunStatus::kCancelled:

@@ -8,9 +8,6 @@ namespace ldlb {
 Deadline Deadline::in(double seconds) {
   LDLB_REQUIRE_MSG(seconds >= 0, "a deadline cannot be in the past");
   Deadline d;
-  // ldlb-analyze: allow(determinism): the monotonic clock decides when a
-  // run is cut off, never what it computes; certificate bytes are
-  // clock-independent by the byte-identical replay tests.
   d.when_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double>(seconds));
   return d;

@@ -16,14 +16,8 @@
 //   │                       wall-clock budget
 //   ├── FaultInjected       a fault plan fired in trap mode (pinpoints the
 //   │                       first injected fault site)
-//   ├── Cancelled           a CancellationToken (util/cancellation.hpp) was
-//   │                       polled after cancellation / deadline expiry
-//   ├── HandshakeMismatch   a network peer answered the util/net handshake
-//   │                       with the wrong protocol version or a different
-//   │                       run fingerprint — a stale or foreign peer
-//   └── WorkerLost          a fleet worker process died, hung past its
-//                           deadline, or sent a corrupt frame — and the
-//                           respawn budget ran out (fault/fleet.hpp)
+//   └── Cancelled           a CancellationToken (util/cancellation.hpp) was
+//                           polled after cancellation / deadline expiry
 //
 // These exceptions guard *logic* errors and adversarial misbehaviour; they
 // are not used for ordinary control flow.
@@ -104,27 +98,6 @@ class Cancelled : public Error {
   std::string reason_;
 };
 
-/// Thrown by the util/net handshake when a peer speaks the wrong protocol
-/// version or carries a different run fingerprint — connecting a Δ=5
-/// coordinator to a Δ=4 worker daemon, or a stale binary to a new one,
-/// must fail loudly before any work is sharded, never corrupt a run.
-/// Carries both sides of the comparison for diagnostics.
-class HandshakeMismatch : public Error {
- public:
-  HandshakeMismatch(const std::string& what, std::string expected,
-                    std::string got)
-      : Error(what), expected_(std::move(expected)), got_(std::move(got)) {}
-
-  /// What this side required, e.g. "version 1 fingerprint 0xabc".
-  [[nodiscard]] const std::string& expected() const { return expected_; }
-  /// What the peer announced.
-  [[nodiscard]] const std::string& got() const { return got_; }
-
- private:
-  std::string expected_;
-  std::string got_;
-};
-
 /// Thrown by the simulator when an algorithm breaks the output contract of
 /// the LOCAL model: an end with no announced weight, or the two ends of an
 /// edge announcing different weights.
@@ -189,33 +162,6 @@ class FaultInjected : public Error {
   std::int64_t node_;
   std::int64_t edge_;
   int round_;
-};
-
-/// Thrown by the fleet coordinator (fault/fleet.hpp) when worker processes
-/// keep failing after the supervised respawn budget is exhausted, or when a
-/// single incident is configured as fatal. Carries the incident kind
-/// ("exit", "signal", "hang", "corrupt-frame", "spawn") and the worker slot
-/// involved; a *single* lost worker is normally transient and never throws
-/// — it is respawned and its tasks replayed.
-class WorkerLost : public Error {
- public:
-  WorkerLost(const std::string& what, std::string incident_kind,
-             int worker_slot = -1)
-      : Error(what),
-        incident_kind_(std::move(incident_kind)),
-        worker_slot_(worker_slot) {}
-
-  /// The fault class of the final incident: "exit", "signal", "hang",
-  /// "corrupt-frame" or "spawn".
-  [[nodiscard]] const std::string& incident_kind() const {
-    return incident_kind_;
-  }
-  /// Coordinator-side worker slot (0-based; -1 when not slot-specific).
-  [[nodiscard]] int worker_slot() const { return worker_slot_; }
-
- private:
-  std::string incident_kind_;
-  int worker_slot_;
 };
 
 namespace detail {

@@ -20,7 +20,7 @@ constexpr int kMaxThreads = 64;
 int default_threads() {
   // ldlb-analyze: allow(determinism): selects the worker count only; the
   // merge order of parallel results is fixed, so certificate bytes do not
-  // depend on parallelism (fleet determinism suite pins this).
+  // depend on parallelism (parallel_determinism_test pins this).
   if (const char* s = std::getenv("LDLB_THREADS"); s != nullptr && *s != '\0') {
     int v = std::atoi(s);
     if (v >= 1) return std::min(v, kMaxThreads);
@@ -31,12 +31,6 @@ int default_threads() {
 
 std::mutex g_pool_mutex;
 std::unique_ptr<ThreadPool> g_pool;  // ldlb: guarded_by(g_pool_mutex)
-
-// Set (single-threaded, before any further library call) in the child of a
-// fork(2): the parent's worker threads do not exist there and any mutex a
-// parent thread held at fork time is locked forever, so the child must
-// neither wait on the inherited pool nor touch g_pool/g_pool_mutex again.
-bool g_forked_child = false;
 
 }  // namespace
 
@@ -115,7 +109,7 @@ void ThreadPool::run_batch(std::vector<std::function<void()>>& tasks,
     }
   };
 
-  if (threads_ <= 1 || g_forked_child || on_worker_thread() || n == 1) {
+  if (threads_ <= 1 || on_worker_thread() || n == 1) {
     // Inline: run every task (as the parallel path would), then report the
     // lowest-index failure.
     for (std::size_t i = 0; i < n; ++i) run_one(i);
@@ -162,7 +156,7 @@ void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn,
                               CancellationToken* cancel) {
   if (n == 0) return;
-  if (threads_ <= 1 || g_forked_child || on_worker_thread() || n == 1) {
+  if (threads_ <= 1 || on_worker_thread() || n == 1) {
     // Poll with the same chunk granularity the parallel path would use, so
     // cancellation latency does not depend on the thread count.
     constexpr std::size_t kSerialPollStride = 32;
@@ -196,26 +190,16 @@ void ThreadPool::parallel_invoke(std::vector<std::function<void()>> thunks,
 }
 
 ThreadPool& ThreadPool::global() {
-  if (g_forked_child) {
-    // g_pool_mutex may be locked forever by a parent thread that no longer
-    // exists; hand out a private serial pool that never touches it. Leaked
-    // deliberately: the child leaves via _exit and never joins anything.
-    static ThreadPool* child_pool = new ThreadPool(1);
-    return *child_pool;
-  }
   std::lock_guard<std::mutex> lk(g_pool_mutex);
   if (!g_pool) g_pool = std::make_unique<ThreadPool>(default_threads());
   return *g_pool;
 }
 
 void ThreadPool::set_global_threads(int threads) {
-  if (g_forked_child) return;  // the inherited pool must stay untouched
   std::lock_guard<std::mutex> lk(g_pool_mutex);
   g_pool = std::make_unique<ThreadPool>(
       threads <= 0 ? default_threads() : std::min(threads, kMaxThreads));
 }
-
-void ThreadPool::note_forked_child() { g_forked_child = true; }
 
 ThreadPool& global_pool() { return ThreadPool::global(); }
 

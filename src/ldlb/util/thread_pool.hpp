@@ -86,17 +86,8 @@ class ThreadPool {
 
   /// Resizes the global pool (tests and tools; not thread-safe against
   /// concurrent global() users executing tasks). `threads` <= 0 restores
-  /// the LDLB_THREADS / hardware default. A no-op in a forked child (see
-  /// note_forked_child) — the inherited pool must not be torn down there.
+  /// the LDLB_THREADS / hardware default.
   static void set_global_threads(int threads);
-
-  /// Marks this process as a fork(2) child of a (possibly multithreaded)
-  /// parent: the parent's pool workers do not exist here, so every
-  /// parallel_* call runs inline from now on and global() hands out a
-  /// private serial pool instead of the inherited (broken) one. Called by
-  /// ipc::spawn_worker immediately after fork, before any other library
-  /// call; irreversible for the life of the process.
-  static void note_forked_child();
 
   /// True when the calling thread is one of this pool's workers.
   [[nodiscard]] bool on_worker_thread() const;

@@ -5,7 +5,6 @@
 #include <list>
 #include <mutex>
 #include <span>
-#include <sstream>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -24,8 +23,8 @@ namespace {
 // level down. Children are referenced by intern id (dense, assigned in
 // interning order — a child is always interned before any parent that
 // references it), while the *key* of a signature chains the children's
-// 128-bit keys, so keys do not depend on table state and survive both
-// wholesale table resets and process boundaries.
+// 128-bit keys, so keys do not depend on table state and survive wholesale
+// table resets.
 // ---------------------------------------------------------------------------
 
 struct KeyHash {
@@ -169,7 +168,7 @@ constexpr std::size_t kMemoEntryCost = 96;
 constexpr std::size_t kTreeOkEntryCost = 48;
 
 // Derives the content key of a signature from its children's *keys* (not
-// their ids, which `table` resolves): the leading length words make the
+// their ids, which `keys` resolves): the leading length words make the
 // encoding prefix-free.
 Checksum128 sig_key(
     const std::vector<Checksum128>& keys, std::span<const Color> loops,
@@ -467,119 +466,6 @@ void set_ball_store_budget(std::size_t bytes) {
 std::size_t ball_store_bytes() {
   std::lock_guard<std::mutex> lk(g_mutex);
   return g_intern_bytes + g_memo_bytes + g_shape_bytes;
-}
-
-std::string serialize_ball_store() {
-  std::lock_guard<std::mutex> lk(g_mutex);
-  std::ostringstream os;
-  os << "ldlb-ball-store v1 " << g_sig_keys.size() << "\n";
-  for (std::uint32_t id = 0; id < g_sig_keys.size(); ++id) {
-    os << id << " L";
-    for (Color c : sig_loops(id)) os << ' ' << c;
-    os << " C";
-    for (const auto& [c, child] : sig_children(id)) {
-      os << ' ' << c << ':' << child;
-    }
-    os << " K " << checksum_to_hex(g_sig_keys[id]) << "\n";
-  }
-  return os.str();
-}
-
-bool deserialize_ball_store(std::string_view text) {
-  std::istringstream is{std::string(text)};
-  std::string tag, version;
-  std::size_t count = 0;
-  if (!(is >> tag >> version >> count) || tag != "ldlb-ball-store" ||
-      version != "v1") {
-    clear_ball_store();
-    return false;
-  }
-  // Parsed rows accumulate straight into a local copy of the SoA layout and
-  // swap in wholesale on success; the unordered set only guards against
-  // duplicate keys during the (cold) load.
-  std::vector<Checksum128> keys;
-  keys.reserve(count);
-  std::vector<std::uint32_t> loop_off{0};
-  std::vector<std::uint32_t> child_off{0};
-  std::vector<Color> loop_arena;
-  std::vector<std::pair<Color, std::uint32_t>> child_arena;
-  std::unordered_map<Checksum128, std::uint32_t, KeyHash> by_key;
-  std::size_t bytes = 0;
-  for (std::size_t id = 0; id < count; ++id) {
-    std::size_t got_id = 0;
-    std::string marker;
-    if (!(is >> got_id >> marker) || got_id != id || marker != "L") {
-      clear_ball_store();
-      return false;
-    }
-    std::vector<Color> loops;
-    std::vector<std::pair<Color, std::uint32_t>> children;
-    Checksum128 key;
-    std::string token;
-    bool in_children = false, have_key = false;
-    while (is >> token) {
-      if (token == "C") {
-        if (in_children) break;
-        in_children = true;
-        continue;
-      }
-      if (token == "K") {
-        std::string hex;
-        if (!(is >> hex) || !checksum_from_hex(hex, key)) break;
-        have_key = true;
-        break;
-      }
-      std::size_t colon = token.find(':');
-      try {
-        if (!in_children) {
-          if (colon != std::string::npos) break;
-          loops.push_back(static_cast<Color>(std::stol(token)));
-        } else {
-          if (colon == std::string::npos) break;
-          const auto c = static_cast<Color>(std::stol(token.substr(0, colon)));
-          const auto child = static_cast<std::uint32_t>(
-              std::stoul(token.substr(colon + 1)));
-          // Children are always interned before their parents.
-          if (child >= id) break;
-          children.emplace_back(c, child);
-        }
-      } catch (const std::exception&) {
-        break;
-      }
-    }
-    if (!have_key || !in_children) {
-      clear_ball_store();
-      return false;
-    }
-    // Re-derive the content key from the already-loaded children and reject
-    // any record whose recorded key disagrees — the table self-validates.
-    if (sig_key(keys, loops, children) != key) {
-      clear_ball_store();
-      return false;
-    }
-    if (!by_key.emplace(key, static_cast<std::uint32_t>(id)).second) {
-      clear_ball_store();
-      return false;
-    }
-    bytes += sig_cost(loops.size(), children.size());
-    keys.push_back(key);
-    loop_arena.insert(loop_arena.end(), loops.begin(), loops.end());
-    loop_off.push_back(static_cast<std::uint32_t>(loop_arena.size()));
-    child_arena.insert(child_arena.end(), children.begin(), children.end());
-    child_off.push_back(static_cast<std::uint32_t>(child_arena.size()));
-  }
-  std::lock_guard<std::mutex> lk(g_mutex);
-  g_sig_keys = std::move(keys);
-  g_loop_off = std::move(loop_off);
-  g_child_off = std::move(child_off);
-  g_loop_arena = std::move(loop_arena);
-  g_child_arena = std::move(child_arena);
-  g_by_key128 = std::move(by_key);
-  rebuild_slots(g_sig_keys.size() + 1);
-  g_intern_bytes = bytes;
-  clear_memo();
-  g_tree_ok.clear();
-  return true;
 }
 
 }  // namespace ldlb

@@ -21,20 +21,18 @@
 // levels: a level-L+1 graph is a lift/mix of level-L graphs and its sub-ball
 // signatures are already interned — computing its witness key is mostly
 // table hits, not re-encoding. Keys are content-derived (chained from child
-// *keys*, not table ids), hence stable across processes, serialisable, and
-// shippable across the wire.
+// *keys*, not table ids), hence independent of table state and stable
+// across wholesale table resets.
 //
-// Memory sits under the same budget as the legacy encoding memo
-// (LDLB_BALL_CACHE_BYTES): per-(graph, node, radius) key memo entries evict
-// LRU; the interned signature table resets wholesale under pressure —
-// memoized keys stay valid across a reset because they are content-derived.
+// Memory sits under one byte budget (LDLB_BALL_CACHE_BYTES): per-(graph,
+// node, radius) key memo entries evict LRU; the interned signature table
+// resets wholesale under pressure — memoized keys stay valid across a reset
+// because they are content-derived.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <string_view>
 
 #include "ldlb/graph/multigraph.hpp"
 #include "ldlb/util/checksum.hpp"
@@ -77,23 +75,10 @@ void clear_ball_store();
 
 /// Sets the engine's byte budget (memo + interned table). The memo evicts
 /// LRU; the interned table resets wholesale when it alone exceeds the
-/// budget. Defaults to LDLB_BALL_CACHE_BYTES (8 MiB when unset), shared
-/// with the legacy encoding memo's convention.
+/// budget. Defaults to LDLB_BALL_CACHE_BYTES (8 MiB when unset).
 void set_ball_store_budget(std::size_t bytes);
 
 /// Approximate bytes currently held (memo entries + interned signatures).
 [[nodiscard]] std::size_t ball_store_bytes();
-
-/// Serialises the interned signature table (text, line-oriented): each line
-/// is `id L <loop colours> C <colour:child-id ...> K <32-digit hex key>` in
-/// id order, so child references point backwards — a reader can rebuild the
-/// table in one pass and re-derive every key to verify integrity.
-[[nodiscard]] std::string serialize_ball_store();
-
-/// Rebuilds the interned table from `serialize_ball_store` output
-/// (replacing the current table; the key memo is cleared). Returns false —
-/// leaving an empty table — on malformed input or when a re-derived key
-/// disagrees with the recorded one.
-bool deserialize_ball_store(std::string_view text);
 
 }  // namespace ldlb

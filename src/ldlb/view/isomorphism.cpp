@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <deque>
-#include <list>
 #include <map>
-#include <mutex>
 #include <tuple>
-#include <unordered_map>
 
-#include "ldlb/util/alloc_guard.hpp"
 #include "ldlb/view/ball_store.hpp"
 
 namespace ldlb {
@@ -209,118 +205,6 @@ std::string canonical_tree_encoding(const Multigraph& g, NodeId root) {
 
 namespace {
 
-struct BallKey {
-  std::uint64_t fingerprint;
-  NodeId node;
-  int radius;
-
-  friend bool operator==(const BallKey&, const BallKey&) = default;
-};
-
-struct BallKeyHash {
-  std::size_t operator()(const BallKey& k) const noexcept {
-    std::uint64_t h = k.fingerprint;
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.node)) *
-         0x9e3779b97f4a7c15ULL;
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.radius)) *
-         0xff51afd7ed558ccdULL;
-    return static_cast<std::size_t>(h ^ (h >> 32));
-  }
-};
-
-// Global memo for ball encodings. The certificate chain re-examines the same
-// (graph, witness, radius) triples many times — the adversary verifies each
-// level as it is built and the validator re-derives every ball again — so a
-// small cache removes most extractions. Bounded by a byte budget with LRU
-// eviction: large-Δ sweeps cache many long encodings, and evicting the cold
-// tail degrades gracefully where wholesale clearing would thrash. Guarded
-// by a mutex so parallel validation can share it.
-//
-// ldlb-lint: allow(raw-sync): the ball-memo lock only orders cache
-// insert/evict/lookup; encodings are canonical and keyed by (graph
-// fingerprint, node, radius), so hit-or-miss order cannot change any
-// returned encoding — results are schedule-independent by construction.
-std::mutex g_ball_cache_mutex;
-// Front = most recently used.
-std::list<BallKey> g_ball_lru;  // ldlb: guarded_by(g_ball_cache_mutex)
-
-struct BallCacheEntry {
-  std::optional<std::string> enc;
-  std::list<BallKey>::iterator lru_it;
-  std::size_t bytes = 0;
-};
-
-std::unordered_map<BallKey, BallCacheEntry, BallKeyHash>
-    g_ball_cache;  // ldlb: guarded_by(g_ball_cache_mutex)
-std::size_t g_ball_cache_bytes = 0;  // ldlb: guarded_by(g_ball_cache_mutex)
-// ldlb: guarded_by(g_ball_cache_mutex)
-std::size_t g_ball_cache_budget = [] {
-  if (const char* s = std::getenv("LDLB_BALL_CACHE_BYTES");
-      s != nullptr && *s != '\0') {
-    const long long v = std::atoll(s);
-    if (v >= 0) return static_cast<std::size_t>(v);
-  }
-  return std::size_t{8} << 20;
-}();
-
-// Rough per-entry footprint: key + hash/list/map node overheads + payload.
-std::size_t entry_cost(const std::optional<std::string>& enc) {
-  return 96 + (enc ? enc->size() : 0);
-}
-
-// Evicts LRU entries until the cache fits its budget. Caller holds the lock.
-void evict_to_budget() {
-  while (g_ball_cache_bytes > g_ball_cache_budget && !g_ball_lru.empty()) {  // ldlb-analyze: allow(locks): caller holds g_ball_cache_mutex
-    auto it = g_ball_cache.find(g_ball_lru.back());  // ldlb-analyze: allow(locks): caller holds g_ball_cache_mutex
-    g_ball_cache_bytes -= it->second.bytes;  // ldlb-analyze: allow(locks): caller holds g_ball_cache_mutex
-    g_ball_cache.erase(it);  // ldlb-analyze: allow(locks): caller holds g_ball_cache_mutex
-    g_ball_lru.pop_back();  // ldlb-analyze: allow(locks): caller holds g_ball_cache_mutex
-  }
-}
-
-}  // namespace
-
-std::optional<std::string> cached_ball_encoding(const Multigraph& g, NodeId v,
-                                                int radius) {
-  const BallKey key{g.fingerprint(), v, radius};
-  {
-    std::lock_guard<std::mutex> lk(g_ball_cache_mutex);
-    auto it = g_ball_cache.find(key);
-    if (it != g_ball_cache.end()) {
-      g_ball_lru.splice(g_ball_lru.begin(), g_ball_lru, it->second.lru_it);
-      return it->second.enc;
-    }
-  }
-  // ldlb-lint: allow(ball-extraction): the AHU encoding is defined over the
-  // materialised ball; this legacy route is off the hot path.
-  Ball ball = extract_ball(g, v, radius);
-  std::optional<std::string> enc;
-  // The encoding route must agree exactly with rooted_isomorphism, which
-  // demands proper colourings; balls are connected by construction.
-  if (ball.graph.is_forest_ignoring_loops() &&
-      ball.graph.has_proper_edge_coloring()) {
-    enc = canonical_tree_encoding(ball.graph, ball.center);
-  }
-  {
-    const std::size_t cost = entry_cost(enc);
-    // Observes the thread-local allocation budget of util/alloc_guard —
-    // memoization is the library's one open-ended consumer of memory, so
-    // alloc-failure injection must be able to hit it.
-    charge_alloc(cost);
-    std::lock_guard<std::mutex> lk(g_ball_cache_mutex);
-    auto [it, inserted] = g_ball_cache.try_emplace(key);
-    if (inserted) {
-      g_ball_lru.push_front(key);
-      it->second = {enc, g_ball_lru.begin(), cost};
-      g_ball_cache_bytes += cost;
-      evict_to_budget();
-    }
-  }
-  return enc;
-}
-
-namespace {
-
 // When set, every canonical-key compare is re-derived through ball
 // extraction + propagation and a disagreement aborts: the slow path is the
 // ground truth the fast path must reproduce bit-for-bit.
@@ -375,37 +259,12 @@ bool balls_isomorphic_cached(const Multigraph& g, NodeId gv,
   return balls_isomorphic(bg, bh);
 }
 
-void clear_ball_encoding_cache() {
-  {
-    std::lock_guard<std::mutex> lk(g_ball_cache_mutex);
-    g_ball_cache.clear();
-    g_ball_lru.clear();
-    g_ball_cache_bytes = 0;
-  }
-  // Cold-cache means cold everywhere: the canonical engine answers the hot
-  // path now, so benchmarks and determinism tests that reset this cache
-  // expect the key store to reset with it.
-  clear_ball_store();
-}
+void clear_ball_encoding_cache() { clear_ball_store(); }
 
 void set_ball_encoding_cache_budget(std::size_t bytes) {
-  {
-    std::lock_guard<std::mutex> lk(g_ball_cache_mutex);
-    g_ball_cache_budget = bytes;
-    evict_to_budget();
-  }
-  // One budget, both stores: LDLB_BALL_CACHE_BYTES governs all ball-derived
-  // memoization.
   set_ball_store_budget(bytes);
 }
 
-std::size_t ball_encoding_cache_bytes() {
-  std::size_t legacy = 0;
-  {
-    std::lock_guard<std::mutex> lk(g_ball_cache_mutex);
-    legacy = g_ball_cache_bytes;
-  }
-  return legacy + ball_store_bytes();
-}
+std::size_t ball_encoding_cache_bytes() { return ball_store_bytes(); }
 
 }  // namespace ldlb

@@ -53,13 +53,6 @@ bool balls_isomorphic(const Ball& a, const Ball& b);
 /// Requires `g.is_forest_ignoring_loops()` and connectivity.
 std::string canonical_tree_encoding(const Multigraph& g, NodeId root);
 
-/// Canonical encoding of τ_radius(g, v), memoized across calls in a global
-/// bounded cache keyed by (g.fingerprint(), v, radius). Returns nullopt when
-/// the ball is not a properly coloured tree-with-loops (the AHU encoding
-/// does not apply); the nullopt outcome is cached too.
-std::optional<std::string> cached_ball_encoding(const Multigraph& g, NodeId v,
-                                                int radius);
-
 /// Equivalent to `balls_isomorphic(extract_ball(g, gv, r),
 /// extract_ball(h, hv, r))` but answered by an O(1) compare of canonical
 /// colour-refinement keys (view/ball_store) when both host graphs are
@@ -71,19 +64,17 @@ std::optional<std::string> cached_ball_encoding(const Multigraph& g, NodeId v,
 bool balls_isomorphic_cached(const Multigraph& g, NodeId gv,
                              const Multigraph& h, NodeId hv, int radius);
 
-/// Drops every memoized ball encoding and the canonical ball-key store
-/// (mainly for tests and benchmarks that want cold-cache timings).
+/// Drops the canonical ball-key store (view/ball_store; mainly for tests
+/// and benchmarks that want cold-cache timings).
 void clear_ball_encoding_cache();
 
-/// Sets the byte budget of the encoding cache *and* the canonical ball-key
-/// store (one budget governs all ball-derived memoization). Caches evict
-/// until they fit; a budget of 0 disables memoization entirely. The default
-/// is 8 MiB, overridable at first use via the LDLB_BALL_CACHE_BYTES
-/// environment variable.
+/// Sets the byte budget of the canonical ball-key store (see
+/// set_ball_store_budget). The store evicts until it fits; a budget of 0
+/// disables memoization entirely. The default is 8 MiB, overridable at
+/// first use via the LDLB_BALL_CACHE_BYTES environment variable.
 void set_ball_encoding_cache_budget(std::size_t bytes);
 
-/// Approximate bytes currently held by the ball-encoding cache and the
-/// canonical ball-key store together.
+/// Approximate bytes currently held by the canonical ball-key store.
 [[nodiscard]] std::size_t ball_encoding_cache_bytes();
 
 }  // namespace ldlb

@@ -8,9 +8,8 @@
 // every level graph the adversary produces for Δ ∈ {3..12} — positive and
 // negative pairs — and assert that the interned-key collision counter and
 // the oracle disagreement counter both stay zero. The binary also covers
-// the store's serialisation round-trip (including rejection of tampered
-// tables), the byte-budget/reset behaviour, and the 128-bit FNV-1a the
-// keys are built from (checked against an independent __int128 reference).
+// the store's byte-budget/reset behaviour and the 128-bit FNV-1a the keys
+// are built from (checked against an independent __int128 reference).
 //
 // LDLB_BALL_ORACLE=1 is exported before gtest spins up, so *every*
 // balls_isomorphic_cached call in this binary — including the P1 checks
@@ -175,62 +174,6 @@ TEST(CanonicalKeys, InternTableStructureSharesAcrossLevels) {
   EXPECT_GT(after.memo_hits, before.memo_hits);
   EXPECT_GT(after.interned_signatures, 0u);
   EXPECT_GT(ball_store_bytes(), 0u);
-}
-
-TEST(BallStore, SerializeDeserializeRoundTrips) {
-  Rng rng{99};
-  const Multigraph g = make_loopy_tree(7, 5, rng);
-  clear_ball_store();
-  const auto reference = canonical_ball_key(g, 0, 3);
-  ASSERT_TRUE(reference.has_value());
-
-  const std::string text = serialize_ball_store();
-  ASSERT_FALSE(text.empty());
-  const std::size_t count = ball_store_stats().interned_signatures;
-  ASSERT_GT(count, 0u);
-
-  clear_ball_store();
-  EXPECT_EQ(ball_store_stats().interned_signatures, 0u);
-  ASSERT_TRUE(deserialize_ball_store(text));
-  EXPECT_EQ(ball_store_stats().interned_signatures, count);
-  // The rebuilt table serialises back to the identical byte string — the
-  // wire form is canonical, so fleet workers can ship and diff tables.
-  EXPECT_EQ(serialize_ball_store(), text);
-  // Keys are content-derived: re-deriving over the restored table gives
-  // the same 128-bit value.
-  const auto again = canonical_ball_key(g, 0, 3);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_TRUE(*again == *reference);
-}
-
-TEST(BallStore, DeserializeRejectsCorruptedTables) {
-  Rng rng{99};
-  const Multigraph g = make_loopy_tree(7, 5, rng);
-  clear_ball_store();
-  ASSERT_TRUE(canonical_ball_key(g, 0, 2).has_value());
-  const std::string text = serialize_ball_store();
-  ASSERT_FALSE(text.empty());
-
-  EXPECT_FALSE(deserialize_ball_store("not a ball store"));
-  EXPECT_EQ(ball_store_stats().interned_signatures, 0u);
-
-  // Flip one hex digit of the last recorded key: the reader re-derives
-  // every key from the signature content and must notice the mismatch.
-  std::string tampered = text;
-  const std::size_t kpos = tampered.rfind(" K ");
-  ASSERT_NE(kpos, std::string::npos);
-  char& digit = tampered[kpos + 3];
-  digit = digit == '0' ? '1' : '0';
-  EXPECT_FALSE(deserialize_ball_store(tampered));
-  EXPECT_EQ(ball_store_stats().interned_signatures, 0u);
-
-  // Truncation loses entries the header promised.
-  EXPECT_FALSE(deserialize_ball_store(
-      std::string_view(text).substr(0, text.size() / 2)));
-  EXPECT_EQ(ball_store_stats().interned_signatures, 0u);
-
-  // The intact table still loads after all the rejected attempts.
-  EXPECT_TRUE(deserialize_ball_store(text));
 }
 
 TEST(BallStore, BudgetBoundsFootprintAndKeysSurviveResets) {

@@ -15,16 +15,6 @@
 //              guarded run must classify (kCancelled / kBudgetExceeded /
 //              kEnvFault) without a certificate, then a clean resumable
 //              run from scratch;
-//   fleet-kill (only with LDLB_CHAOS_KILL=1) a coordinator/worker fleet
-//              run with workers SIGKILLed at random levels — every kill
-//              must be survived by respawn+replay and the certificate must
-//              still match the clean run byte for byte;
-//   net-fault  (only with LDLB_CHAOS_NET=1) a socket-fleet run against
-//              localhost worker daemons with one random network fault
-//              armed on the coordinator's side of the wire — refused
-//              connect, mid-frame disconnect, corrupt byte, delay or a
-//              short partition — survived by reconnect+replay with the
-//              clean run's exact bytes;
 //   certlog-kill (only with LDLB_CHAOS_CERTLOG=1) a child process
 //              checkpointing into the append-only certificate log is
 //              SIGKILLed from its own checkpoint hook, the survivor log is
@@ -41,27 +31,25 @@
 // The seed is printed up front and on every failure; override it with
 // LDLB_CHAOS_SEED and the cycle count with LDLB_CHAOS_CYCLES. Not a gtest
 // binary — scripts/ci.sh runs it as its own bounded stage (with
-// LDLB_CHAOS_KILL=1, LDLB_CHAOS_NET=1 and LDLB_CHAOS_CERTLOG=1 so the
-// fleet, network and certificate-log scenarios are in the rotation).
+// LDLB_CHAOS_CERTLOG=1 so the certificate-log scenarios are in the
+// rotation).
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/core/certificate_io.hpp"
 #include "ldlb/fault/budget_hooks.hpp"
 #include "ldlb/fault/env_fault.hpp"
-#include "ldlb/fault/fleet.hpp"
 #include "ldlb/fault/guarded_run.hpp"
-#include "ldlb/fault/net_fault.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/recover/cert_log.hpp"
 #include "ldlb/recover/resumable_adversary.hpp"
@@ -70,8 +58,6 @@
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/cancellation.hpp"
 #include "ldlb/util/error.hpp"
-#include "ldlb/util/ipc.hpp"
-#include "ldlb/util/net.hpp"
 #include "ldlb/util/rng.hpp"
 #include "ldlb/util/thread_pool.hpp"
 #include "ldlb/view/isomorphism.hpp"
@@ -115,14 +101,9 @@ int main() {
   g_seed = env_u64("LDLB_CHAOS_SEED", 20140721);
   const int cycles =
       static_cast<int>(env_u64("LDLB_CHAOS_CYCLES", 25));
-  const bool fleet_kill = env_u64("LDLB_CHAOS_KILL", 0) != 0;
-  const bool net_chaos = env_u64("LDLB_CHAOS_NET", 0) != 0;
   const bool certlog_chaos = env_u64("LDLB_CHAOS_CERTLOG", 0) != 0;
-  std::printf(
-      "chaos_soak: seed=%llu cycles=%d fleet-kill=%s net-fault=%s "
-      "certlog=%s\n",
-      g_seed, cycles, fleet_kill ? "on" : "off", net_chaos ? "on" : "off",
-      certlog_chaos ? "on" : "off");
+  std::printf("chaos_soak: seed=%llu cycles=%d certlog=%s\n", g_seed, cycles,
+              certlog_chaos ? "on" : "off");
 
   const std::string path =
       (fs::temp_directory_path() /
@@ -178,23 +159,8 @@ int main() {
       fs::remove(log_path);
       use_log = certlog_chaos && g_cycle % 2 == 1;
 
-      // Scenario slots: 0..3 always, 4 = fleet-kill (LDLB_CHAOS_KILL=1),
-      // 5 = net-fault (LDLB_CHAOS_NET=1), 6 = certlog-kill
-      // (LDLB_CHAOS_CERTLOG=1). The remap keeps each slot's meaning stable
-      // regardless of which flags are set, so a seed replays the same
-      // scenario sequence under the same flags.
-      const std::uint64_t scenario_count = 4 + (fleet_kill ? 1 : 0) +
-                                           (net_chaos ? 1 : 0) +
-                                           (certlog_chaos ? 1 : 0);
-      std::uint64_t pick = rng.next_below(scenario_count);
-      if (pick >= 4) {
-        std::vector<std::uint64_t> enabled;
-        if (fleet_kill) enabled.push_back(4);
-        if (net_chaos) enabled.push_back(5);
-        if (certlog_chaos) enabled.push_back(6);
-        pick = enabled[pick - 4];
-      }
-      switch (pick) {
+      // Scenario slots: 0..3 always, 4 = certlog-kill (LDLB_CHAOS_CERTLOG=1).
+      switch (rng.next_below(certlog_chaos ? 5 : 4)) {
         case 0: {  // cooperative cancel at a random checkpoint, then resume
           g_scenario = "cancel";
           const int cancel_level =
@@ -299,122 +265,43 @@ int main() {
           resume_and_compare(delta);
           break;
         }
-        case 4: {  // fleet run with workers SIGKILLed at random levels
-          g_scenario = "fleet-kill";
-          const int workers = 1 + static_cast<int>(rng.next_below(3));
-          FleetOptions options;
-          options.workers = workers;
-          options.backoff_base_seconds = 0.001;  // soak fast, still backing off
-          options.on_level = [&](int, const std::vector<pid_t>& pids) {
-            if (pids.empty() || rng.next_below(2) != 0) return;
-            const auto victim = static_cast<std::size_t>(
-                rng.next_u64() % static_cast<std::uint64_t>(pids.size()));
-            ipc::kill_process(pids[victim]);
-          };
-          const AlgorithmFactory factory = [delta]() {
-            return std::make_unique<SeqColorPacking>(delta);
-          };
-          const auto store = make_store();
-          FleetReport report;
-          const std::string bytes = certificate_to_string(
-              run_adversary_fleet(factory, delta, *store, options, &report));
-          check(report.status == RunStatus::kOk,
-                "fleet run did not survive the kills: " + report.to_string());
-          check(bytes == clean,
-                "fleet certificate differs from the clean run after " +
-                    std::to_string(report.respawns) + " respawns");
-          break;
-        }
-        case 5: {  // socket fleet with one random wire fault armed
-          g_scenario = "net-fault";
-          const AlgorithmFactory factory = [delta]() {
-            return std::make_unique<SeqColorPacking>(delta);
-          };
-          // Fork the daemons BEFORE arming: the injector is process-wide,
-          // and the fault must shape only the coordinator's side of the
-          // wire, never the daemons it connects to.
-          const int daemons = 1 + static_cast<int>(rng.next_below(2));
-          std::vector<RemoteEndpoint> remotes;
-          std::vector<pid_t> daemon_pids;
-          for (int d = 0; d < daemons; ++d) {
-            net::Listener listener = net::Listener::on("127.0.0.1", 0);
-            remotes.push_back({"127.0.0.1", listener.port()});
-            daemon_pids.push_back(
-                ipc::spawn_child([&listener, &factory, delta]() {
-                  return run_fleet_daemon(factory, delta, listener);
-                }));
-            listener.close();
-          }
-          const auto kind = static_cast<NetFaultKind>(rng.next_below(5));
-          const int nth = 1 + static_cast<int>(rng.next_below(4));
-          double value = 1;
-          switch (kind) {
-            case NetFaultKind::kConnectRefused:
-              break;  // value unused
-            case NetFaultKind::kMidFrameDisconnect:
-              value = 1 + static_cast<double>(rng.next_below(30));
-              break;
-            case NetFaultKind::kCorruptByte:
-              value = static_cast<double>(rng.next_below(40));
-              break;
-            case NetFaultKind::kDelay:
-              value = 0.01 + 0.01 * static_cast<double>(rng.next_below(5));
-              break;
-            case NetFaultKind::kPartition:
-              value = 1 + static_cast<double>(rng.next_below(2));
-              break;
-          }
-          FleetOptions options;
-          options.workers = 1 + static_cast<int>(rng.next_below(2));
-          options.remotes = remotes;
-          options.backoff_base_seconds = 0.001;
-          // A partition swallows a request without severing the stream,
-          // and the idle daemon's heartbeats keep the link un-stale — the
-          // loss must surface as a fast reply-deadline "hang", not a
-          // default-length stall.
-          options.reply_deadline_seconds = 1.0;
-          options.stale_after_seconds = 5.0;
-          std::string bytes;
-          FleetReport report;
-          {
-            NetFaultPlan plan;
-            ScopedNetFaultInjection install(&plan);
-            plan.arm(kind, nth, value);
-            const auto store = make_store();
-            bytes = certificate_to_string(
-                run_adversary_fleet(factory, delta, *store, options, &report));
-          }
-          for (const pid_t pid : daemon_pids) {
-            ipc::kill_process(pid);
-            (void)ipc::wait_exit(pid, Deadline::in(10.0));
-          }
-          check(report.status == RunStatus::kOk,
-                std::string("socket fleet did not survive ") +
-                    to_string(kind) + ": " + report.to_string());
-          check(bytes == clean,
-                std::string(
-                    "socket-fleet certificate differs from the clean run "
-                    "under ") +
-                    to_string(kind));
-          break;
-        }
         default: {  // SIGKILL a log-writing child, tear the tail, resume
           g_scenario = "certlog-kill";
           fs::remove(log_path);
           const int kill_level = static_cast<int>(rng.next_below(delta - 1));
-          const pid_t writer = ipc::spawn_child([&]() {
-            SeqColorPacking alg{delta};
-            CertificateLog store(log_path);
-            ResumeOptions options;
-            options.on_checkpoint = [&](const CertificateLevel& lv) {
-              // A real SIGKILL, not an exception: the child dies with the
-              // append for this level already durable, nothing cleaned up.
-              if (lv.level == kill_level) ipc::kill_process(::getpid());
-            };
-            run_adversary_resumable(alg, delta, store, options);
-            return 0;
-          });
-          (void)ipc::wait_exit(writer, Deadline::in(60.0));
+          // The child must not inherit pool workers it cannot join: fork
+          // from a single-threaded parent, then restore the cycle's pool.
+          ThreadPool::set_global_threads(1);
+          std::fflush(nullptr);
+          const pid_t writer = ::fork();
+          check(writer >= 0, "fork failed");
+          if (writer == 0) {
+            int code = 1;
+            try {
+              SeqColorPacking alg{delta};
+              CertificateLog store(log_path);
+              ResumeOptions options;
+              options.on_checkpoint = [&](const CertificateLevel& lv) {
+                // A real SIGKILL, not an exception: the child dies with the
+                // append for this level already durable, nothing cleaned up.
+                if (lv.level == kill_level) ::kill(::getpid(), SIGKILL);
+              };
+              run_adversary_resumable(alg, delta, store, options);
+            } catch (const std::exception& e) {
+              std::fprintf(stderr, "chaos_soak: writer child: %s\n",
+                           e.what());
+              code = 2;
+            }
+            ::_exit(code);
+          }
+          int status = 0;
+          while (::waitpid(writer, &status, 0) < 0) {
+            check(errno == EINTR, "waitpid failed");
+          }
+          ThreadPool::set_global_threads(threads);
+          check(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL,
+                "log-writing child was not SIGKILLed at level " +
+                    std::to_string(kill_level));
 
           // The kill landed between appends; additionally tear the tail
           // the way a kill *during* the append would have.

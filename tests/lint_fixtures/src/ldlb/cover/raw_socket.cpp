@@ -1,4 +1,4 @@
-// Fixture: raw-socket — a bare socket(2) outside the audited net module.
+// Fixture: raw-socket — a bare socket(2) in the network-free engine.
 #include <sys/socket.h>
 
 namespace ldlb {

@@ -1,4 +1,4 @@
-// Fixture: raw-process — a bare fork(2) outside the audited ipc module.
+// Fixture: raw-process — a bare fork(2) in the single-process engine.
 #include <unistd.h>
 
 namespace ldlb {

@@ -23,7 +23,7 @@ constexpr RunStatus kAllRunStatuses[] = {
     RunStatus::kOk,           RunStatus::kBudgetExceeded,
     RunStatus::kModelViolation, RunStatus::kFaultInjected,
     RunStatus::kCancelled,    RunStatus::kEnvFault,
-    RunStatus::kContractViolation, RunStatus::kWorkerLost,
+    RunStatus::kContractViolation,
 };
 
 constexpr FsOp kAllFsOps[] = {FsOp::kWrite,    FsOp::kFsync,
@@ -49,8 +49,6 @@ const char* expected_name(RunStatus status) {
       return "env-fault";
     case RunStatus::kContractViolation:
       return "contract-violation";
-    case RunStatus::kWorkerLost:
-      return "worker-lost";
   }
   return nullptr;
 }
@@ -133,22 +131,6 @@ TEST(StatusStrings, FsOpAndModeParsersRoundTrip) {
   EXPECT_EQ(mode_untouched, EnvFaultMode::kEnospc);
 }
 
-// The wire protocol (fault/fleet) carries a worker's classification back to
-// the coordinator as the to_string token; the parser must be its exact
-// inverse over the whole vocabulary, and reject anything else.
-TEST(StatusStrings, ParserRoundTripsEveryStatus) {
-  for (RunStatus status : kAllRunStatuses) {
-    RunStatus parsed = RunStatus::kOk;
-    EXPECT_TRUE(run_status_from_string(to_string(status), parsed))
-        << to_string(status);
-    EXPECT_EQ(parsed, status);
-  }
-  RunStatus untouched = RunStatus::kEnvFault;
-  EXPECT_FALSE(run_status_from_string("no-such-status", untouched));
-  EXPECT_FALSE(run_status_from_string("", untouched));
-  EXPECT_EQ(untouched, RunStatus::kEnvFault);  // failed parse leaves out alone
-}
-
 TEST(StatusStrings, ClassificationUsesTheStatusVocabulary) {
   for (RunStatus status : kAllRunStatuses) {
     GuardedOutcome outcome;
@@ -163,7 +145,7 @@ TEST(StatusStrings, ClassificationUsesTheStatusVocabulary) {
 TEST(StatusStrings, RetryPolicyCoversEveryStatus) {
   RetryPolicy policy;
   const std::set<RunStatus> transient_without_errno = {
-      RunStatus::kBudgetExceeded, RunStatus::kWorkerLost};
+      RunStatus::kBudgetExceeded};
   for (RunStatus status : kAllRunStatuses) {
     EXPECT_EQ(policy.transient(status),
               transient_without_errno.count(status) > 0)

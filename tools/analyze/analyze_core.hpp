@@ -18,9 +18,9 @@
 //                   is accessed only inside a lexical scope holding that
 //                   mutex, and observed nested acquisitions must form a
 //                   consistent global lock order;
-//   cancellation  — every while/unbounded-for loop in core/, fault/fleet
-//                   and the simulator must reach a cancel/poll/deadline
-//                   check through its body's call graph.
+//   cancellation  — every while/unbounded-for loop in core/ and the
+//                   simulator must reach a cancel/poll/deadline check
+//                   through its body's call graph.
 //
 // Suppressions share ldlb_lint's shape with the analyzer's own marker:
 //

@@ -325,7 +325,6 @@ void run_locks(const SourceModel& model, std::vector<Diagnostic>& out) {
 
 bool cancellation_scoped(const FileModel& file) {
   return file.module == "core" ||
-         file.path.find("fault/fleet") != std::string::npos ||
          file.path.find("local/simulator") != std::string::npos;
 }
 

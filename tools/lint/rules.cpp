@@ -143,8 +143,8 @@ std::vector<Rule> build_rules() {
     r.name = "raw-process";
     r.prefix = "raw process control ";
     r.suffix =
-        " outside util/ipc; spawn, signal and reap workers through the ipc "
-        "module so every process-control site is audited";
+        " in the engine; the library runs in one process and never spawns, "
+        "signals or reaps processes";
     r.patterns = {
         pat(R"(\bv?fork\s*\()", "fork("),
         pat(R"(\bexec[lv][pe]{0,2}\s*\()", "exec*("),
@@ -154,7 +154,6 @@ std::vector<Rule> build_rules() {
         pat(R"(\bsig(action|procmask|nal)\s*\()", "signal("),
         pat(R"(\b_exit\s*\()", "_exit("),
     };
-    for (auto& p : r.patterns) p.excludes = {"util/ipc."};
     rules.push_back(std::move(r));
   }
 
@@ -163,13 +162,12 @@ std::vector<Rule> build_rules() {
     r.name = "raw-socket";
     r.prefix = "raw socket syscall ";
     r.suffix =
-        " outside util/net; open, connect and configure sockets through "
-        "the net module so framing, deadlines and fault injection stay in "
-        "one audited place";
+        " in the engine; the library does no networking, so no file may "
+        "open, connect or configure a socket";
     r.patterns = {
         pat(R"(\bsocket\s*\()", "socket("),
         // FaultPlan::bind() is a project method, so the syscall must be
-        // ::-qualified to count (matching how util/net calls it).
+        // ::-qualified to count.
         pat(R"((^|[^\w])::bind\s*\()", "bind("),
         pat(R"(\blisten\s*\()", "listen("),
         pat(R"(\baccept4?\s*\()", "accept("),
@@ -177,7 +175,6 @@ std::vector<Rule> build_rules() {
         pat(R"(\bgetsockname\s*\()", "getsockname("),
         pat(R"(\bsetsockopt\s*\()", "setsockopt("),
     };
-    for (auto& p : r.patterns) p.excludes = {"util/net."};
     rules.push_back(std::move(r));
   }
 
