@@ -15,6 +15,15 @@ namespace {
 // slower correct algorithms should fit a quadratic budget.
 int round_budget(int delta) { return 16 * (delta + 2) * (delta + 2); }
 
+// Every colour lies in [0, Δ), the palette the EC-model simulator runs with.
+bool colours_in_palette(const Multigraph& g, int delta) {
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const Color c = g.edge(e).color;
+    if (c < 0 || c >= delta) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::vector<LevelValidation> validate_certificate(
@@ -31,18 +40,24 @@ std::vector<LevelValidation> validate_certificate(
     LevelValidation v;
     v.level = lv.level;
 
-    v.degree_ok = lv.g.max_degree() <= cert.delta &&
+    // The palette check runs first: it bounds the colour-stamp array of
+    // has_proper_edge_coloring, and a tampered level that fails it, or the
+    // shape checks, never reaches the preconditions of the loopiness and
+    // re-execution stages below — it is reported invalid, not thrown on.
+    v.degree_ok = colours_in_palette(lv.g, cert.delta) &&
+                  colours_in_palette(lv.h, cert.delta) &&
+                  lv.g.max_degree() <= cert.delta &&
                   lv.h.max_degree() <= cert.delta &&
                   lv.g.has_proper_edge_coloring() &&
                   lv.h.has_proper_edge_coloring();
     v.shape_ok = lv.g.is_forest_ignoring_loops() &&
                  lv.h.is_forest_ignoring_loops() && lv.g.is_connected() &&
                  lv.h.is_connected();
-    if (check_loopiness) {
+    if (!check_loopiness) {
+      v.loopy_ok = true;
+    } else if (v.degree_ok && v.shape_ok) {
       int need = cert.delta - 1 - lv.level;
       v.loopy_ok = loopiness(lv.g) >= need && loopiness(lv.h) >= need;
-    } else {
-      v.loopy_ok = true;
     }
 
     v.witness_loops_ok =
@@ -54,7 +69,7 @@ std::vector<LevelValidation> validate_certificate(
         lv.g.edge(lv.g_loop).color == lv.c &&
         lv.h.edge(lv.h_loop).color == lv.c;
 
-    if (v.witness_loops_ok) {
+    if (v.degree_ok && v.witness_loops_ok) {
       // P1 via memoized canonical encodings (the adversary already encoded
       // these balls while building the chain); transparent fallback inside.
       v.balls_isomorphic =

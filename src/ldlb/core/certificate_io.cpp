@@ -1,11 +1,14 @@
 #include "ldlb/core/certificate_io.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <ostream>
-#include <sstream>
 
+#include "ldlb/graph/graph_io.hpp"
+#include "ldlb/util/alloc_guard.hpp"
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/error.hpp"
+#include "ldlb/util/text_appender.hpp"
 
 namespace ldlb {
 
@@ -13,19 +16,25 @@ namespace {
 
 constexpr long long kMaxId = std::numeric_limits<NodeId>::max();
 
-void write_graph(std::ostream& os, const char* tag, const Multigraph& g) {
-  os << tag << " " << g.node_count() << " " << g.edge_count() << "\n";
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    const auto& ed = g.edge(e);
-    os << "e " << ed.u << " " << ed.v << " " << ed.color << "\n";
-  }
+// Shortest possible edge line, "e 0 0 0".
+constexpr std::size_t kMinEdgeBytes = 7;
+
+std::size_t level_text_bound(const CertificateLevel& lv) {
+  return 256 + edge_list_text_bound(lv.g) + edge_list_text_bound(lv.h) +
+         lv.g_weight.to_string().size() + lv.h_weight.to_string().size();
 }
 
-Multigraph read_graph(LineReader& r, const std::string& tag) {
+Multigraph read_graph(LineReader& r, std::string_view tag) {
   r.expect(tag, "graph header");
   const NodeId nodes = static_cast<NodeId>(r.integer("node count", 0, kMaxId));
   const EdgeId edges = static_cast<EdgeId>(r.integer("edge count", 0, kMaxId));
   Multigraph g(nodes);
+  // Reserve from the header, capped by what the unread input can hold: a
+  // hostile count must not force a huge allocation before the input ends.
+  const std::size_t reserve = std::min(static_cast<std::size_t>(edges),
+                                       r.records_left(kMinEdgeBytes));
+  charge_alloc(reserve * sizeof(Multigraph::Edge));
+  g.reserve_edges(static_cast<EdgeId>(reserve));
   for (EdgeId e = 0; e < edges; ++e) {
     r.expect("e", "edge line");
     NodeId u = static_cast<NodeId>(r.integer("edge endpoint u", 0, nodes - 1));
@@ -37,7 +46,7 @@ Multigraph read_graph(LineReader& r, const std::string& tag) {
 }
 
 Rational read_rational(LineReader& r, const char* what) {
-  std::string tok = r.token(what);
+  const std::string tok{r.token(what)};
   try {
     return Rational::from_string(tok);
   } catch (const Error&) {
@@ -45,9 +54,16 @@ Rational read_rational(LineReader& r, const char* what) {
   }
 }
 
-}  // namespace
+void append_certificate_header(TextAppender& out,
+                               const LowerBoundCertificate& cert) {
+  out << "ldlb-certificate 1\n"
+      << "delta " << cert.delta << '\n'
+      << "algorithm " << cert.algorithm_name << '\n';
+}
 
-void write_certificate_level(std::ostream& os, const CertificateLevel& lv) {
+constexpr std::string_view kCertificateTrailer = "end\n";
+
+void append_level(TextAppender& out, const CertificateLevel& lv) {
   // A sentinel in a witness field means the level was never certified; the
   // parser range-rejects such values, so refuse to emit them in the first
   // place rather than writing a file no reader will accept.
@@ -56,12 +72,43 @@ void write_certificate_level(std::ostream& os, const CertificateLevel& lv) {
                        lv.c != kUncoloured,
                    "level " << lv.level
                             << " carries unpopulated witness sentinels");
-  os << "level " << lv.level << "\n";
-  write_graph(os, "g", lv.g);
-  write_graph(os, "h", lv.h);
-  os << "witness " << lv.g_node << " " << lv.h_node << " " << lv.c << " "
-     << lv.g_loop << " " << lv.h_loop << " " << lv.g_weight.to_string() << " "
-     << lv.h_weight.to_string() << " " << lv.propagation_steps << "\n";
+  out << "level " << lv.level << '\n';
+  append_edge_list(out, "g", lv.g);
+  append_edge_list(out, "h", lv.h);
+  out << "witness " << lv.g_node << ' ' << lv.h_node << ' ' << lv.c << ' '
+      << lv.g_loop << ' ' << lv.h_loop << ' ' << lv.g_weight.to_string() << ' '
+      << lv.h_weight.to_string() << ' ' << lv.propagation_steps << '\n';
+}
+
+LowerBoundCertificate read_certificate_body(LineReader& r) {
+  r.expect("ldlb-certificate", "certificate magic");
+  const long long version = r.integer("format version", 1, 1);
+  (void)version;
+  LowerBoundCertificate cert;
+  r.expect("delta", "delta line");
+  cert.delta = static_cast<int>(r.integer("delta", 0, kMaxId));
+  r.expect("algorithm", "algorithm line");
+  cert.algorithm_name = r.token("algorithm name");
+  for (;;) {
+    const std::string_view word = r.token("'level' or 'end'");
+    if (word == "end") break;
+    if (word != "level") r.fail("expected 'level' or 'end'", word);
+    r.push_back(word);
+    cert.levels.push_back(read_certificate_level(r));
+  }
+  return cert;
+}
+
+}  // namespace
+
+std::string certificate_level_to_string(const CertificateLevel& lv) {
+  TextAppender out{level_text_bound(lv)};
+  append_level(out, lv);
+  return out.take();
+}
+
+void write_certificate_level(std::ostream& os, const CertificateLevel& lv) {
+  os << certificate_level_to_string(lv);
 }
 
 CertificateLevel read_certificate_level(LineReader& r) {
@@ -88,44 +135,33 @@ CertificateLevel read_certificate_level(LineReader& r) {
 }
 
 void write_certificate(std::ostream& os, const LowerBoundCertificate& cert) {
-  os << "ldlb-certificate 1\n";
-  os << "delta " << cert.delta << "\n";
-  os << "algorithm " << cert.algorithm_name << "\n";
-  for (const auto& lv : cert.levels) {
-    write_certificate_level(os, lv);
-  }
-  os << "end\n";
+  // One level at a time: the stream never needs the whole certificate
+  // resident as text.
+  TextAppender header;
+  append_certificate_header(header, cert);
+  os << header.take();
+  for (const auto& lv : cert.levels) os << certificate_level_to_string(lv);
+  os << kCertificateTrailer;
 }
 
 LowerBoundCertificate read_certificate(std::istream& is) {
   LineReader r{is};
-  r.expect("ldlb-certificate", "certificate magic");
-  const long long version = r.integer("format version", 1, 1);
-  (void)version;
-  LowerBoundCertificate cert;
-  r.expect("delta", "delta line");
-  cert.delta = static_cast<int>(r.integer("delta", 0, kMaxId));
-  r.expect("algorithm", "algorithm line");
-  cert.algorithm_name = r.token("algorithm name");
-  for (;;) {
-    std::string word = r.token("'level' or 'end'");
-    if (word == "end") break;
-    if (word != "level") r.fail("expected 'level' or 'end'", word);
-    r.push_back(std::move(word));
-    cert.levels.push_back(read_certificate_level(r));
-  }
-  return cert;
+  return read_certificate_body(r);
 }
 
 std::string certificate_to_string(const LowerBoundCertificate& cert) {
-  std::ostringstream os;
-  write_certificate(os, cert);
-  return os.str();
+  std::size_t bound = 64 + cert.algorithm_name.size();
+  for (const auto& lv : cert.levels) bound += level_text_bound(lv);
+  TextAppender out{bound};
+  append_certificate_header(out, cert);
+  for (const auto& lv : cert.levels) append_level(out, lv);
+  out << kCertificateTrailer;
+  return out.take();
 }
 
 LowerBoundCertificate certificate_from_string(const std::string& text) {
-  std::istringstream is{text};
-  return read_certificate(is);
+  LineReader r{std::string_view{text}};
+  return read_certificate_body(r);
 }
 
 void write_certificate_file(const std::string& path,

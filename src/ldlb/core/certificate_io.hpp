@@ -18,6 +18,16 @@
 //   end
 //
 // Weights are exact rationals rendered as "num/den".
+//
+// The codec is zero-copy on the hot paths. The encoder renders through one
+// std::to_chars appender (util/text_appender.hpp) into a string presized
+// from an upper bound on the output, and every entry point — the string,
+// stream, per-level and file writers — goes through it, so their bytes
+// cannot drift apart. The string and file readers tokenize their buffer in
+// place (util/line_reader.hpp), and read_certificate_file reads the file in
+// one presized buffer (util/atomic_file.hpp). A graph header's edge count
+// reserves edge storage only up to what the unread input can hold, so a
+// hostile count cannot force a huge allocation.
 #pragma once
 
 #include <iosfwd>
@@ -40,12 +50,17 @@ LowerBoundCertificate read_certificate(std::istream& is);
 /// kNoNode / kNoEdge sentinels is not serialisable evidence.
 void write_certificate_level(std::ostream& os, const CertificateLevel& lv);
 
+/// The bytes write_certificate_level writes, as a string — the record
+/// payload of the snapshot store and the certificate log.
+std::string certificate_level_to_string(const CertificateLevel& lv);
+
 /// Reads one level, starting at its "level" keyword; throws ParseError on
 /// malformed input. Shared by read_certificate and the snapshot store
 /// (recover/snapshot_store.hpp), so the two formats cannot drift apart.
 CertificateLevel read_certificate_level(LineReader& r);
 
-/// Convenience round-trips through strings.
+/// Round-trips through strings; certificate_from_string tokenizes `text`
+/// in place.
 std::string certificate_to_string(const LowerBoundCertificate& cert);
 LowerBoundCertificate certificate_from_string(const std::string& text);
 

@@ -10,13 +10,17 @@
 // Colour -1 denotes an uncoloured edge.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "ldlb/graph/digraph.hpp"
 #include "ldlb/graph/multigraph.hpp"
 
 namespace ldlb {
+
+class TextAppender;
 
 void write_graph(std::ostream& os, const Multigraph& g);
 void write_graph(std::ostream& os, const Digraph& g);
@@ -28,6 +32,16 @@ void write_graph(std::ostream& os, const Digraph& g);
 /// `*_from_string` variants additionally reject trailing garbage.
 Multigraph read_multigraph(std::istream& is);
 Digraph read_digraph(std::istream& is);
+
+/// Appends "<tag> <nodes> <edges>" and the "e <u> <v> <colour>" lines of
+/// `g`: the multigraph body above, and the "g" / "h" sections of the
+/// certificate format (core/certificate_io.hpp).
+void append_edge_list(TextAppender& out, std::string_view tag,
+                      const Multigraph& g);
+
+/// Upper bound on the bytes append_edge_list appends for `g` (any tag of up
+/// to ten characters), for presizing the output.
+[[nodiscard]] std::size_t edge_list_text_bound(const Multigraph& g);
 
 std::string graph_to_string(const Multigraph& g);
 std::string graph_to_string(const Digraph& g);

@@ -1,5 +1,6 @@
 #include "ldlb/recover/cert_log.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/error.hpp"
 #include "ldlb/util/line_reader.hpp"
+#include "ldlb/util/text_appender.hpp"
 
 namespace ldlb {
 
@@ -211,12 +213,12 @@ CertLogReport walk_log(const std::string& path,
     CertificateLevel lv;
     bool have_level = false;
     try {
-      // Move the payload text into the stream and let both die before the
+      // Tokenize the payload in place, then release its text before the
       // consumer runs: `on_level` may re-validate the level (graphs, ball
-      // table), and the streaming-footprint promise is O(one level), not
-      // O(one level + two copies of its text).
-      std::istringstream payload_is{std::move(payload)};
-      LineReader reader{payload_is};
+      // table), and the streaming-footprint promise is O(one level) while
+      // it does — the parse itself holds one level plus one copy of its
+      // text.
+      LineReader reader{std::string_view{payload}};
       lv = read_certificate_level(reader);
       if (!reader.at_end()) {
         classify(LogDamage::kBadRecord, rep.levels_intact,
@@ -234,6 +236,7 @@ CertLogReport walk_log(const std::string& path,
                std::string("checksum-valid payload unparsable: ") + e.what());
       bad_record = true;
     }
+    std::string{}.swap(payload);
     if (bad_record) break;
     if (have_level && on_level) {
       CertLogRecordInfo info;
@@ -370,25 +373,21 @@ std::string render_header(const LowerBoundCertificate& chain,
 
 std::string render_record(const CertificateLevel& lv, int index,
                           detail::CertLogGeometry& geom) {
-  std::ostringstream payload_os;
-  write_certificate_level(payload_os, lv);
-  const std::string payload = payload_os.str();
-  long long lines = 0;
-  for (char ch : payload) {
-    if (ch == '\n') ++lines;
-  }
+  const std::string payload = certificate_level_to_string(lv);
+  const auto lines = std::count(payload.begin(), payload.end(), '\n');
   const Checksum128 self = fnv1a_128(payload);
   const Checksum128 previous =
       geom.records.empty() ? geom.genesis : geom.records.back().chain;
   const Checksum128 chain = chain_step(index, self, previous);
-  std::ostringstream os;
-  os << "record " << index << " " << lines << " " << payload.size() << " "
-     << checksum_to_hex(self) << " " << checksum_to_hex(chain) << "\n"
-     << payload;
+  TextAppender out{payload.size() + 128};
+  out << "record " << index << ' ' << lines << ' ' << payload.size() << ' '
+      << checksum_to_hex(self) << ' ' << checksum_to_hex(chain) << '\n'
+      << payload;
+  std::string text = out.take();
   const std::uint64_t start =
       geom.records.empty() ? geom.header_end : geom.records.back().end;
-  geom.records.push_back({start + os.str().size(), chain});
-  return os.str();
+  geom.records.push_back({start + text.size(), chain});
+  return text;
 }
 
 }  // namespace

@@ -4,11 +4,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -184,12 +184,33 @@ std::optional<std::uint64_t> file_size(const std::string& path) {
 
 std::string read_file(const std::string& path) {
   if (FsFaultInjector* inj = fs_fault_injector()) inj->before_read(path);
-  std::ifstream in{path, std::ios::binary};
-  if (!in) io_fail("open", path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  if (in.bad()) io_fail("read", path);
-  return os.str();
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) io_fail("open", path);
+  FdGuard guard{fd};
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) io_fail("fstat", path);
+  // Presized from fstat and read in place. Reading then goes on to end of
+  // file through a small probe buffer, so a file that grew meanwhile is
+  // still read whole without the common case paying for a reallocation.
+  std::string content(static_cast<std::size_t>(std::max<off_t>(st.st_size, 0)),
+                      '\0');
+  std::size_t filled = 0;
+  char probe[4096] = {};
+  for (;;) {
+    const bool in_place = filled < content.size();
+    char* dst = in_place ? content.data() + filled : probe;
+    const std::size_t want = in_place ? content.size() - filled : sizeof probe;
+    const ssize_t got = ::read(fd, dst, want);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      io_fail("read", path);
+    }
+    if (got == 0) break;
+    if (!in_place) content.append(probe, static_cast<std::size_t>(got));
+    filled += static_cast<std::size_t>(got);
+  }
+  content.resize(filled);
+  return content;
 }
 
 }  // namespace ldlb

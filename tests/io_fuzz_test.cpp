@@ -20,7 +20,9 @@
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/recover/cert_log.hpp"
 #include "ldlb/recover/snapshot_store.hpp"
+#include "ldlb/util/alloc_guard.hpp"
 #include "ldlb/util/atomic_file.hpp"
+#include "ldlb/util/checksum.hpp"
 #include "ldlb/util/error.hpp"
 #include "ldlb/util/rng.hpp"
 
@@ -203,6 +205,287 @@ TEST(IoFuzz, SentinelWitnessFieldsRejected) {
   unset.h = Multigraph(1);
   std::ostringstream os;
   EXPECT_THROW(write_certificate_level(os, unset), ContractViolation);
+}
+
+// --- tokenizer parity -----------------------------------------------------
+
+// Pins the full diagnosis — line, offending token and message — of one
+// malformed input, so the tokenizer's line accounting cannot drift.
+template <typename Parse>
+void expect_parse_error(Parse parse, const std::string& text, int line,
+                        const std::string& token, const std::string& what) {
+  SCOPED_TRACE("input: " + text);
+  try {
+    parse(text);
+    ADD_FAILURE() << "accepted";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), line);
+    EXPECT_EQ(e.token(), token);
+    EXPECT_EQ(std::string(e.what()), what);
+  }
+}
+
+const auto kParseMultigraph = [](const std::string& text) {
+  return multigraph_from_string(text);
+};
+const auto kParseCertificate = [](const std::string& text) {
+  return certificate_from_string(text);
+};
+
+TEST(IoFuzz, CrlfLineEndingsParseLikeLf) {
+  const Multigraph g = multigraph_from_string("multigraph 2 1\r\ne 0 1 3\r\n");
+  EXPECT_EQ(graph_to_string(g), "multigraph 2 1\ne 0 1 3\n");
+  std::string crlf;
+  for (char ch : valid_certificate_text()) {
+    if (ch == '\n') crlf += '\r';
+    crlf += ch;
+  }
+  EXPECT_EQ(certificate_to_string(certificate_from_string(crlf)),
+            valid_certificate_text());
+  expect_parse_error(kParseMultigraph, "multigraph 2 1\r\ne 0 5 0\r\n", 2, "5",
+                     "line 2: edge endpoint v 5 out of range [0, 1], got '5'");
+  expect_parse_error(kParseMultigraph, "multigraph 2 2\r\ne 0 1 0\r\n", 2, "",
+                     "line 2: unexpected end of input — expected edge line");
+}
+
+TEST(IoFuzz, BlankLinesBetweenRecordsAreSkippedAndCounted) {
+  const Multigraph g =
+      multigraph_from_string("\nmultigraph 2 2\n\n\ne 0 1 0\n\ne 1 1 1\n\n");
+  EXPECT_EQ(graph_to_string(g), "multigraph 2 2\ne 0 1 0\ne 1 1 1\n");
+  expect_parse_error(kParseMultigraph, "multigraph 2 2\n\ne 0 1 0\n\n\n", 5, "",
+                     "line 5: unexpected end of input — expected edge line");
+  expect_parse_error(kParseMultigraph, "multigraph 2 1\n\n\nx 0 1 0\n", 4, "x",
+                     "line 4: expected edge line 'e <u> <v> <colour>', got 'x'");
+  expect_parse_error(
+      kParseCertificate,
+      "ldlb-certificate 1\n\ndelta 2\n\nalgorithm A\n\nlevel 0\n\ng 1 x\n", 9,
+      "x", "line 9: expected integer edge count, got 'x'");
+}
+
+TEST(IoFuzz, WhitespaceOnlyLastLineWithoutNewline) {
+  EXPECT_EQ(multigraph_from_string("multigraph 1 0\n \t ").node_count(), 1);
+  expect_parse_error(kParseMultigraph, "multigraph 2 2\ne 0 1 0\n \t", 3, "",
+                     "line 3: unexpected end of input — expected edge line");
+  std::string text = valid_certificate_text();
+  text.resize(text.size() - 4);  // drop "end\n"
+  text += "  ";
+  expect_parse_error(kParseCertificate, text, 12, "",
+                     "line 12: unexpected end of input — expected 'level' or "
+                     "'end'");
+}
+
+TEST(IoFuzz, EndOfInputMidEdgeNamesTheMissingField) {
+  expect_parse_error(kParseMultigraph, "multigraph 2 1\ne 0 1", 2, "",
+                     "line 2: unexpected end of input — expected colour");
+  expect_parse_error(kParseMultigraph, "multigraph 2 1\ne 0 1\n", 2, "",
+                     "line 2: unexpected end of input — expected colour");
+  expect_parse_error(kParseMultigraph, "multigraph 2 1\ne", 2, "",
+                     "line 2: unexpected end of input — expected edge endpoint "
+                     "u");
+  expect_parse_error(
+      kParseCertificate,
+      "ldlb-certificate 1\ndelta 2\nalgorithm A\nlevel 0\ng 1 1\ne 0 0", 6, "",
+      "line 6: unexpected end of input — expected colour");
+}
+
+TEST(IoFuzz, LeadingPlusIntegersAreAccepted) {
+  const Multigraph g = multigraph_from_string("multigraph +2 +1\ne +0 +1 +7\n");
+  EXPECT_EQ(graph_to_string(g), "multigraph 2 1\ne 0 1 7\n");
+  std::string text = valid_certificate_text();
+  text.replace(text.find("delta 2"), 7, "delta +2");
+  EXPECT_EQ(certificate_to_string(certificate_from_string(text)),
+            valid_certificate_text());
+  expect_parse_error(kParseMultigraph, "multigraph 2 1\ne 0 +-1 0\n", 2, "+-1",
+                     "line 2: expected integer edge endpoint v, got '+-1'");
+  expect_parse_error(kParseMultigraph, "multigraph 2 1\ne + 1 0\n", 2, "+",
+                     "line 2: expected integer edge endpoint u, got '+'");
+  expect_parse_error(kParseMultigraph, "multigraph 2 1\ne - 1 0\n", 2, "-",
+                     "line 2: expected integer edge endpoint u, got '-'");
+  expect_parse_error(kParseMultigraph, "multigraph 2 1\ne 0 1 0x1\n", 2, "0x1",
+                     "line 2: expected integer colour, got '0x1'");
+}
+
+TEST(IoFuzz, Int64OverflowReportsTheClampedValue) {
+  expect_parse_error(kParseMultigraph, "multigraph 99999999999999999999 0\n", 1,
+                     "99999999999999999999",
+                     "line 1: node count 9223372036854775807 out of range "
+                     "[0, 2147483647], got '99999999999999999999'");
+  expect_parse_error(kParseMultigraph,
+                     "multigraph 2 1\ne 0 1 -99999999999999999999\n", 2,
+                     "-99999999999999999999",
+                     "line 2: colour -9223372036854775808 out of range "
+                     "[-1, 2147483647], got '-99999999999999999999'");
+  expect_parse_error(kParseMultigraph,
+                     "multigraph 2 1\ne 0 1 +99999999999999999999\n", 2,
+                     "+99999999999999999999",
+                     "line 2: colour 9223372036854775807 out of range "
+                     "[-1, 2147483647], got '+99999999999999999999'");
+  // Overflowing digits followed by junk are not an integer at all.
+  expect_parse_error(kParseMultigraph, "multigraph 99999999999999999999x 0\n",
+                     1, "99999999999999999999x",
+                     "line 1: expected integer node count, got "
+                     "'99999999999999999999x'");
+}
+
+TEST(IoFuzz, TrailingGarbageAfterGraphIsSited) {
+  expect_parse_error(kParseMultigraph, "multigraph 1 0\n\nleftover junk\n", 3,
+                     "leftover",
+                     "line 3: trailing garbage after graph, got 'leftover'");
+  expect_parse_error(kParseMultigraph, "multigraph 2 1\ne 0 1 0 9\n", 2, "9",
+                     "line 2: trailing garbage after graph, got '9'");
+  expect_parse_error(
+      [](const std::string& text) { return digraph_from_string(text); },
+      "digraph 2 1\na 0 1 -1\r\n\t\r\na", 4, "a",
+      "line 4: trailing garbage after graph, got 'a'");
+}
+
+// The stream reader counts lines the same way as the in-place one.
+TEST(IoFuzz, StreamReaderDiagnosesLikeTheStringReader) {
+  const auto parse_stream = [](const std::string& text) {
+    std::istringstream is{text};
+    return read_multigraph(is);
+  };
+  expect_parse_error(parse_stream, "multigraph 2 1\r\ne 0 5 0\r\n", 2, "5",
+                     "line 2: edge endpoint v 5 out of range [0, 1], got '5'");
+  expect_parse_error(parse_stream, "multigraph 2 2\n\ne 0 1 0\n\n\n", 5, "",
+                     "line 5: unexpected end of input — expected edge line");
+  expect_parse_error(parse_stream, "multigraph 2 2\ne 0 1 0\n \t", 3, "",
+                     "line 3: unexpected end of input — expected edge line");
+  expect_parse_error(parse_stream, "multigraph 2 1\ne 0 +-1 0\n", 2, "+-1",
+                     "line 2: expected integer edge endpoint v, got '+-1'");
+  expect_parse_error(parse_stream,
+                     "multigraph 2 1\ne 0 1 -99999999999999999999\n", 2,
+                     "-99999999999999999999",
+                     "line 2: colour -9223372036854775808 out of range "
+                     "[-1, 2147483647], got '-99999999999999999999'");
+}
+
+// A header that declares billions of edges and then ends must be rejected
+// as truncated input, not honoured with a matching reservation: the edge
+// reservation is capped by what the remaining bytes can hold.
+TEST(IoFuzz, HostileEdgeCountCannotForceAHugeReservation) {
+  const std::string prefix =
+      "ldlb-certificate 1\ndelta 2\nalgorithm A\nlevel 0\n";
+  for (const std::string& graphs :
+       {std::string("g 1 2147483647\n"),
+        std::string("g 1 1\ne 0 0 0\nh 1 2147483647\ne 0 0 0\n")}) {
+    SCOPED_TRACE(graphs);
+    ScopedAllocBudget budget{4u << 20};
+    try {
+      certificate_from_string(prefix + graphs);
+      ADD_FAILURE() << "accepted";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("unexpected end of input"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// --- encoder byte identity -------------------------------------------------
+
+// Every encoder entry point produces the same bytes, and those bytes are
+// pinned by checksum so the on-disk format cannot drift.
+TEST(IoFuzz, EncodersAgreeByteForByte) {
+  SeqColorPacking alg{8};
+  const LowerBoundCertificate cert = run_adversary(alg, 8);
+  const std::string text = certificate_to_string(cert);
+  std::ostringstream streamed;
+  write_certificate(streamed, cert);
+  EXPECT_EQ(streamed.str(), text);
+  std::ostringstream levels;
+  levels << "ldlb-certificate 1\ndelta " << cert.delta << "\nalgorithm "
+         << cert.algorithm_name << "\n";
+  for (const auto& lv : cert.levels) write_certificate_level(levels, lv);
+  levels << "end\n";
+  EXPECT_EQ(levels.str(), text);
+  EXPECT_EQ(text.size(), 15476u);
+  EXPECT_EQ(fnv1a_64(text), 0xa97277a033608e31ULL);
+
+  Multigraph g(3);
+  g.add_edge(0, 1, 2);
+  g.add_edge(2, 2, kUncoloured);
+  g.add_edge(1, 2, 1234567);
+  Digraph d(3);
+  d.add_arc(2, 0, kUncoloured);
+  d.add_arc(0, 0, 5);
+  d.add_arc(1, 2, -1);
+  const std::string g_text = graph_to_string(g);
+  const std::string d_text = graph_to_string(d);
+  EXPECT_EQ(g_text, "multigraph 3 3\ne 0 1 2\ne 2 2 -1\ne 1 2 1234567\n");
+  EXPECT_EQ(d_text, "digraph 3 3\na 2 0 -1\na 0 0 5\na 1 2 -1\n");
+  std::ostringstream g_os, d_os;
+  write_graph(g_os, g);
+  write_graph(d_os, d);
+  EXPECT_EQ(g_os.str(), g_text);
+  EXPECT_EQ(d_os.str(), d_text);
+  EXPECT_EQ(fnv1a_64(g_text), 0xe741606f363892dfULL);
+  EXPECT_EQ(fnv1a_64(d_text), 0xfec73eeb750d9b47ULL);
+}
+
+// --- certificate byte-flip sweep -------------------------------------------
+
+// Every byte of a small valid certificate, flipped to a seeded random value:
+// each flip is a ParseError, a certificate the validator (or the Δ check a
+// consumer makes) rejects, or one that re-encodes to the original bytes.
+// The validator does not vouch for the algorithm name or the informational
+// propagation-step counts, so a flip confined to those may survive; it must
+// then leave every other byte intact.
+TEST(IoFuzz, CertificateByteFlipSweep) {
+  constexpr int kDelta = 6;
+  SeqColorPacking alg{kDelta};
+  const LowerBoundCertificate ref = run_adversary(alg, kDelta);
+  const std::string full = certificate_to_string(ref);
+  Rng rng{20260417};
+  int parse_errors = 0, rejected = 0, identical = 0, metadata = 0;
+  for (std::size_t at = 0; at < full.size(); ++at) {
+    std::string text = full;
+    // Half digits (the flips most likely to parse), a quarter whitespace
+    // (the flips that must re-encode unchanged), a quarter any byte.
+    char flipped = 0;
+    switch (rng.next_below(4)) {
+      case 0:
+      case 1:
+        flipped = static_cast<char>('0' + rng.next_below(10));
+        break;
+      case 2:
+        flipped = " \t\r\n\v\f"[rng.next_below(6)];
+        break;
+      default:
+        flipped = static_cast<char>(rng.next_below(256));
+        break;
+    }
+    if (flipped == text[at]) flipped = static_cast<char>(flipped ^ 0x01);
+    text[at] = flipped;
+    LowerBoundCertificate cert;
+    try {
+      cert = certificate_from_string(text);
+    } catch (const ParseError&) {
+      ++parse_errors;
+      continue;
+    }
+    if (certificate_to_string(cert) == full) {
+      ++identical;
+      continue;
+    }
+    if (cert.delta != kDelta || !certificate_is_valid(cert, alg)) {
+      ++rejected;
+      continue;
+    }
+    ASSERT_EQ(cert.levels.size(), ref.levels.size()) << "flip at byte " << at;
+    cert.algorithm_name = ref.algorithm_name;
+    for (std::size_t i = 0; i < cert.levels.size(); ++i) {
+      cert.levels[i].propagation_steps = ref.levels[i].propagation_steps;
+    }
+    EXPECT_EQ(certificate_to_string(cert), full)
+        << "flip at byte " << at << " accepted with different content";
+    ++metadata;
+  }
+  // Every outcome class must occur for the sweep to mean anything.
+  EXPECT_GT(parse_errors, 0);
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(identical, 0);
+  EXPECT_GT(metadata, 0);
 }
 
 // --- truncation sweeps -----------------------------------------------------
