@@ -209,9 +209,10 @@ int run_convert(const std::string& in, const std::string& out) {
   if (magic == "ldlb-cert-log 1") {
     // log -> classic one-shot certificate.
     CertificateLog log{in};
-    RecoveryReport report;
+    CertLogReport report;
     LowerBoundCertificate cert = log.load(&report);
-    if (!report.complete || cert.levels.empty()) {
+    if (!report.file_found || report.damage != LogDamage::kNone ||
+        cert.levels.empty()) {
       std::cerr << "cannot convert: " << report.to_string() << "\n";
       return 1;
     }

@@ -40,13 +40,9 @@ run_suite() {
 
 run_chaos() {
   local dir="$1" cycles="$2"
-  echo "== chaos soak ($dir, ${cycles} cycles, seed ${chaos_seed}, certlog on) =="
-  # LDLB_CHAOS_CERTLOG=1 keeps the certificate-log writer-kill scenario in
-  # the rotation (plus the per-cycle snapshot/log store alternation); set it
-  # to 0 to soak without that interference (e.g. under a debugger).
+  echo "== chaos soak ($dir, ${cycles} cycles, seed ${chaos_seed}) =="
   if ! LDLB_CHAOS_SEED="$chaos_seed" LDLB_CHAOS_CYCLES="$cycles" \
       LDLB_SLOW_CHECKS=1 \
-      LDLB_CHAOS_CERTLOG="${LDLB_CHAOS_CERTLOG:-1}" \
       "$dir/tests/chaos_soak"; then
     echo "chaos soak failed; reproduce with LDLB_CHAOS_SEED=${chaos_seed}" >&2
     exit 1
@@ -88,8 +84,8 @@ run_certlog_stream() {
   "$tool" generate --log 20 seq "$tmp/torn.log" > /dev/null
   cmp "$tmp/d20.log" "$tmp/torn.log"
   # Injected environment faults surface as exit 5 — never as log damage
-  # (the injected-truncate repair path is pinned by the chaos soak's
-  # certificate-log store rotation).
+  # (the torn-tail repair path is pinned by the chaos soak, which always
+  # checkpoints into the certificate log).
   local rc op
   for op in read:eio:2:verify write:enospc:1:generate fsync:eio:1:generate; do
     rc=0

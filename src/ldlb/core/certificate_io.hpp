@@ -51,12 +51,12 @@ LowerBoundCertificate read_certificate(std::istream& is);
 void write_certificate_level(std::ostream& os, const CertificateLevel& lv);
 
 /// The bytes write_certificate_level writes, as a string — the record
-/// payload of the snapshot store and the certificate log.
+/// payload of the certificate log.
 std::string certificate_level_to_string(const CertificateLevel& lv);
 
 /// Reads one level, starting at its "level" keyword; throws ParseError on
-/// malformed input. Shared by read_certificate and the snapshot store
-/// (recover/snapshot_store.hpp), so the two formats cannot drift apart.
+/// malformed input. Shared by read_certificate and the certificate log
+/// (recover/cert_log.hpp), so the two formats cannot drift apart.
 CertificateLevel read_certificate_level(LineReader& r);
 
 /// Round-trips through strings; certificate_from_string tokenizes `text`

@@ -6,11 +6,13 @@
 // EnvFaultPlan implements util/atomic_file.hpp's FsFaultInjector seam and
 // fails a chosen filesystem operation — the nth write, fsync, rename, or
 // directory fsync — with EIO, ENOSPC, or a short write. Because every
-// checkpoint path in the repo goes through write_file_atomic, arming a plan
-// turns any adversary run into a crash-safety experiment: the env-fault
-// tests and the chaos harness prove that after *any* injected fault the
-// snapshot directory still loads to a valid prefix and the resumed run
-// reproduces the clean run's certificate byte for byte.
+// checkpoint path in the repo goes through util/atomic_file (the
+// certificate log's first checkpoint is a write_file_atomic, later ones
+// append_file_durable), arming a plan turns any adversary run into a
+// crash-safety experiment: the env-fault tests and the chaos harness prove
+// that after *any* injected fault the certificate log still loads to a
+// valid prefix and the resumed run reproduces the clean run's certificate
+// byte for byte.
 //
 // Allocation failure is injected separately through
 // util/alloc_guard.hpp's thread-local byte budget (ScopedAllocBudget):

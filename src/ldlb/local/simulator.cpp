@@ -93,7 +93,6 @@ void RunDiagnostics::reset(NodeId nodes) {
   dropped_messages = 0;
   corrupted_messages = 0;
   first_violation.clear();
-  supervision.clear();
 }
 
 RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,

@@ -58,8 +58,6 @@ struct RunDiagnostics {
   long long corrupted_messages = 0;  ///< payloads mutated in flight by hooks
   std::string first_violation;  ///< what() of the error that ended the run
                                 ///< ("" for a clean run); set by guarded_run
-  std::string supervision;  ///< rendered SupervisionLog when the run went
-                            ///< through recover/Supervisor ("" otherwise)
 
   void reset(NodeId nodes);
 };

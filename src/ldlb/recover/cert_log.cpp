@@ -316,10 +316,10 @@ void CertificateLog::refresh_geometry() {
   geometry_fresh_ = true;
 }
 
-LowerBoundCertificate CertificateLog::load(RecoveryReport* report) {
+LowerBoundCertificate CertificateLog::load(CertLogReport* report) {
   geometry_fresh_ = false;
   LowerBoundCertificate chain;
-  const CertLogReport rep = walk_log(
+  CertLogReport rep = walk_log(
       path_, geom_,
       [&](const CertLogRecordInfo&, CertificateLevel&& lv) {
         chain.levels.push_back(std::move(lv));
@@ -331,23 +331,7 @@ LowerBoundCertificate CertificateLog::load(RecoveryReport* report) {
   // failed tamper check means the file's history cannot be trusted, so
   // nothing is salvaged and the run rebuilds from scratch.
   if (!rep.recoverable()) chain.levels.clear();
-
-  RecoveryReport out;
-  out.path = path_;
-  out.file_found = rep.file_found;
-  out.complete = rep.file_found && rep.damage == LogDamage::kNone;
-  out.levels_loaded = static_cast<int>(chain.levels.size());
-  out.drop_line = rep.defect_line;
-  if (!rep.file_found) {
-    out.drop_reason = "no certificate log file";
-  } else if (rep.damage != LogDamage::kNone) {
-    std::ostringstream os;
-    os << ldlb::to_string(rep.damage);
-    if (rep.defect_level >= 0) os << " at level " << rep.defect_level;
-    os << ": " << rep.detail;
-    out.drop_reason = os.str();
-  }
-  if (report != nullptr) *report = out;
+  if (report != nullptr) *report = std::move(rep);
   return chain;
 }
 
@@ -437,7 +421,7 @@ void CertificateLog::checkpoint(const LowerBoundCertificate& chain) {
     geom_.damage = LogDamage::kNone;
   }
 
-  // The engine's prefix-stability contract (CheckpointStore::checkpoint)
+  // The engine's prefix-stability contract (cert_log.hpp, checkpoint())
   // vouches for every record before the chain's freshly built tail; any
   // record the file holds beyond that is a revalidation-rejected suffix
   // and is truncated away.

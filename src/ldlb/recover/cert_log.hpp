@@ -1,11 +1,10 @@
 // Append-only streaming certificate log ("LDCL"): the durable,
-// tamper-evident on-disk form of a lower-bound certificate chain.
+// tamper-evident on-disk form of a lower-bound certificate chain, and the
+// one checkpoint store of the resumable adversary (resumable_adversary.hpp).
 //
-// The snapshot store (snapshot_store.hpp) rewrites the whole file on every
-// checkpoint — O(chain) per level, O(chain) peak memory to read back. The
-// certificates of the Δ=20 era are too big for that to stay free, and a
-// certificate is inherently level-structured, so this store appends one
-// *record* per certified level and never touches earlier bytes again:
+// A certificate is level-structured, so the log appends one *record* per
+// certified level and never touches earlier bytes again — O(one level) per
+// checkpoint, however large the chain grows:
 //
 //   ldlb-cert-log 1
 //   delta <d>
@@ -61,7 +60,6 @@
 #include <vector>
 
 #include "ldlb/core/certificate.hpp"
-#include "ldlb/recover/checkpoint.hpp"
 #include "ldlb/util/checksum.hpp"
 
 namespace ldlb {
@@ -136,17 +134,17 @@ struct CertLogRecordInfo {
   Checksum128 chain;               ///< running chain state after this record
 };
 
-/// The append-only certificate log as a CheckpointStore: the durable home
-/// of a resumable adversary run. checkpoint() appends only the records the
-/// file is missing — O(one level) per certified level — after truncating a
-/// torn tail or resetting an unrecoverable file.
-class CertificateLog : public CheckpointStore {
+/// The append-only certificate log: the durable home of a resumable
+/// adversary run. checkpoint() appends only the records the file is
+/// missing — O(one level) per certified level — after truncating a torn
+/// tail or resetting an unrecoverable file.
+class CertificateLog {
  public:
   /// A log at `path`; the file need not exist yet.
   explicit CertificateLog(std::string path);
 
-  [[nodiscard]] const std::string& path() const override { return path_; }
-  [[nodiscard]] bool exists() const override;
+  [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] bool exists() const;
 
   /// Classifies the log per the damage taxonomy, streaming — O(one level)
   /// of payload in memory. Throws only on environmental IO failure.
@@ -154,20 +152,27 @@ class CertificateLog : public CheckpointStore {
 
   /// Loads the verified prefix when the report is recoverable() — torn
   /// tails salvage their intact records — and an *empty* chain otherwise
-  /// (mid-file damage rejects the artefact; the RecoveryReport carries the
-  /// taxonomy verdict in drop_reason). Never throws on damage.
-  [[nodiscard]] LowerBoundCertificate load(
-      RecoveryReport* report = nullptr) override;
+  /// (mid-file damage rejects the artefact; `report` carries the taxonomy
+  /// verdict). Never throws on damage, only on environmental IO failure.
+  /// The returned chain's delta / algorithm_name are zero/empty when the
+  /// header itself could not be salvaged.
+  [[nodiscard]] LowerBoundCertificate load(CertLogReport* report = nullptr);
 
-  /// Durably makes the log equal `chain` (see CheckpointStore for the
-  /// prefix-stability contract): appends the missing records with
+  /// Durably makes the log equal `chain`: appends the missing records with
   /// append + fsync, truncating a torn tail or a rejected-on-revalidation
   /// suffix first, and falling back to a full atomic rewrite when the file
   /// is unrecoverable or names a different job.
-  void checkpoint(const LowerBoundCertificate& chain) override;
+  ///
+  /// Prefix-stability contract: the resumable engine calls this once per
+  /// freshly certified level and never mutates previously checkpointed
+  /// levels between calls. It only appends to the chain or — after a
+  /// revalidation reject — hands over a chain whose trusted prefix is
+  /// byte-identical to what this log loaded. That is what lets a
+  /// checkpoint append O(one level) instead of rewriting the file.
+  void checkpoint(const LowerBoundCertificate& chain);
 
   /// Deletes the log file if present.
-  void remove() override;
+  void remove();
 
   /// The exact byte content of a log holding `chain` (tests, conversion).
   [[nodiscard]] static std::string serialize(

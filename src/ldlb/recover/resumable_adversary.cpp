@@ -85,15 +85,19 @@ CertificateLevel supervised_level(const RetryPolicy& policy, int base_rounds,
 }  // namespace
 
 LowerBoundCertificate run_adversary_resumable(EcAlgorithm& algorithm,
-                                              int delta, CheckpointStore& store,
+                                              int delta, CertificateLog& log,
                                               const ResumeOptions& options,
                                               ResumeInfo* info) {
   LDLB_REQUIRE(delta >= 2);
+  LDLB_REQUIRE_MSG(options.retry.max_attempts >= 1,
+                   "a retry policy needs at least one attempt");
+  LDLB_REQUIRE_MSG(options.retry.budget_factor >= 1.0,
+                   "budget escalation must not shrink budgets");
   ResumeInfo local_info;
   ResumeInfo& inf = info != nullptr ? *info : local_info;
   inf = {};
 
-  LowerBoundCertificate chain = store.load(&inf.recovery);
+  LowerBoundCertificate chain = log.load(&inf.recovery);
   inf.loaded_levels = static_cast<int>(chain.levels.size());
 
   // A stored chain for a different job is worthless, however intact it is.
@@ -129,7 +133,7 @@ LowerBoundCertificate run_adversary_resumable(EcAlgorithm& algorithm,
 
   const int base_rounds = base_round_budget(delta, options.adversary);
   const auto checkpoint = [&](const CertificateLevel& lv) {
-    store.checkpoint(chain);
+    log.checkpoint(chain);
     ++inf.computed_levels;
     if (options.on_checkpoint) options.on_checkpoint(lv);
   };

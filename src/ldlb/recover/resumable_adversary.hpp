@@ -4,32 +4,36 @@
 // run_adversary_resumable is run_adversary (core/adversary.hpp) wrapped in
 // durability and supervision:
 //
-//   * after each CertificateLevel is certified it is checkpointed into the
-//     CheckpointStore — durably, so a crash mid-checkpoint never damages
-//     the previously stored prefix (atomic rewrite for the snapshot store,
-//     append + fsync with torn-tail recovery for the certificate log);
-//   * on start, the store's longest valid prefix is loaded and — unless
+//   * after each CertificateLevel is certified it is appended to the
+//     certificate log (recover/cert_log.hpp) with append + fsync, so a
+//     crash mid-checkpoint leaves at worst a torn tail, which the next run
+//     truncates away — never a damaged prefix;
+//   * on start, the log's longest verified prefix is loaded and — unless
 //     explicitly disabled — *re-validated against the algorithm* with the
-//     independent certificate validator, so a stale or tampered snapshot
+//     independent certificate validator, so a stale or tampered log
 //     (wrong algorithm, wrong Δ, forged weights) is discarded instead of
 //     being trusted into the chain; construction continues from the first
 //     missing level;
 //   * each level build runs under the RetryPolicy of recover/supervisor.hpp:
-//     a BudgetExceeded trip retries with an escalated round budget, while
-//     ModelViolation / ContractViolation fail fast; every attempt lands in
-//     the SupervisionLog of the ResumeInfo.
+//     a BudgetExceeded trip retries with an escalated round budget, a
+//     transient IoError (ENOSPC, EAGAIN, EINTR) retries as is, while
+//     ModelViolation / ContractViolation / hard I/O errors fail fast; every
+//     attempt lands in the SupervisionLog of the ResumeInfo. The checkpoint
+//     write itself is not retried: its IoError surfaces to the caller, and
+//     rerunning resumes from what the log holds.
 //
 // The construction is deterministic and the certificate text format is an
 // exact round-trip, so a run resumed from any level produces a final
-// certificate byte-identical to an uninterrupted run — the crash-resume
-// tests assert exactly that, with crashes injected via `crash_at_level`.
+// certificate — and a final log — byte-identical to an uninterrupted run;
+// the crash-resume tests assert exactly that, with crashes injected via
+// `crash_at_level`.
 #pragma once
 
 #include <functional>
 #include <string>
 
 #include "ldlb/core/adversary.hpp"
-#include "ldlb/recover/checkpoint.hpp"
+#include "ldlb/recover/cert_log.hpp"
 #include "ldlb/recover/supervisor.hpp"
 
 namespace ldlb {
@@ -51,8 +55,8 @@ struct ResumeOptions {
 
 /// What a resumable run found, salvaged and recomputed.
 struct ResumeInfo {
-  RecoveryReport recovery;   ///< what the store itself salvaged
-  int loaded_levels = 0;     ///< levels the store handed back
+  CertLogReport recovery;    ///< what the log scan itself found
+  int loaded_levels = 0;     ///< levels the log handed back
   int trusted_levels = 0;    ///< levels that survived re-validation
   int computed_levels = 0;   ///< levels built (or rebuilt) this run
   std::string discard_reason;  ///< why loaded levels were rejected ("" if
@@ -61,10 +65,10 @@ struct ResumeInfo {
 };
 
 /// Runs the full adversary against `algorithm` at maximum degree `delta`,
-/// checkpointing into (and resuming from) `store`. Returns the complete
+/// checkpointing into (and resuming from) `log`. Returns the complete
 /// chain of levels 0..delta-2, exactly as run_adversary would.
 LowerBoundCertificate run_adversary_resumable(EcAlgorithm& algorithm,
-                                              int delta, CheckpointStore& store,
+                                              int delta, CertificateLog& log,
                                               const ResumeOptions& options = {},
                                               ResumeInfo* info = nullptr);
 

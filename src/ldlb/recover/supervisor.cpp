@@ -62,45 +62,4 @@ std::string SupervisionLog::to_string() const {
   return os.str();
 }
 
-Supervisor::Supervisor(RetryPolicy policy) : policy_(policy) {
-  LDLB_REQUIRE_MSG(policy_.max_attempts >= 1,
-                   "a retry policy needs at least one attempt");
-  LDLB_REQUIRE_MSG(policy_.budget_factor >= 1.0,
-                   "budget escalation must not shrink budgets");
-}
-
-template <typename RunOnce>
-GuardedOutcome Supervisor::supervise(const GuardedRunOptions& options,
-                                     RunOnce&& once) {
-  log_ = {};
-  GuardedRunOptions attempt_options = options;
-  for (int attempt = 1;; ++attempt) {
-    attempt_options.budget = policy_.escalated(options.budget, attempt);
-    GuardedOutcome outcome = once(attempt_options);
-    log_.attempts.push_back({attempt, attempt_options.budget.max_rounds,
-                             outcome.status, outcome.error});
-    const bool retryable =
-        policy_.transient(outcome.status, outcome.env_errno);
-    if (!retryable || attempt >= policy_.max_attempts) {
-      log_.exhausted = retryable;  // still transient, but out of attempts
-      outcome.diagnostics.supervision = log_.to_string();
-      return outcome;
-    }
-  }
-}
-
-GuardedOutcome Supervisor::run_ec(const Multigraph& g, EcAlgorithm& alg,
-                                  const GuardedRunOptions& options) {
-  return supervise(options, [&](const GuardedRunOptions& o) {
-    return guarded_run_ec(g, alg, o);
-  });
-}
-
-GuardedOutcome Supervisor::run_po(const Digraph& g, PoAlgorithm& alg,
-                                  const GuardedRunOptions& options) {
-  return supervise(options, [&](const GuardedRunOptions& o) {
-    return guarded_run_po(g, alg, o);
-  });
-}
-
 }  // namespace ldlb

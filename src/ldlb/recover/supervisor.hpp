@@ -1,17 +1,15 @@
-// Supervised execution: guarded runs with a declarative retry policy.
+// Declarative retry policy for supervised level builds.
 //
-// guarded_run_ec/po (fault/guarded_run.hpp) classifies *one* attempt. The
-// Supervisor turns that classification into a recovery decision: transient
-// outcomes (a tripped budget, optionally an injected fault from a flaky
-// black box) are retried with escalated budgets, while permanent ones
-// (ModelViolation, ContractViolation, a checker rejection) fail fast — a
-// broken algorithm does not get less broken by re-running it. Every attempt
-// is recorded in a SupervisionLog, whose rendering also survives into the
-// final outcome's RunDiagnostics, so a post-mortem of a long run can see
-// exactly which budgets were tried before the run settled.
+// guarded_run_ec/po (fault/guarded_run.hpp) classifies *one* attempt as a
+// RunStatus. A RetryPolicy turns that classification into a recovery
+// decision: transient outcomes (a tripped budget, a full disk, optionally
+// an injected fault from a flaky black box) are retried with escalated
+// budgets, while permanent ones (ModelViolation, ContractViolation, a hard
+// I/O error) fail fast — a broken algorithm does not get less broken by
+// re-running it. Every attempt is recorded in a SupervisionLog.
 //
-// The same RetryPolicy drives the per-level retry loop of the resumable
-// adversary (resumable_adversary.hpp).
+// The resumable adversary (resumable_adversary.hpp) runs each level build
+// under this policy and hands the log back in its ResumeInfo.
 #pragma once
 
 #include <string>
@@ -52,41 +50,12 @@ struct SupervisionAttempt {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Everything the supervisor tried for one task.
+/// Every attempt made for one task.
 struct SupervisionLog {
   std::vector<SupervisionAttempt> attempts;
   bool exhausted = false;  ///< gave up: still transient on the last attempt
 
   [[nodiscard]] std::string to_string() const;
-};
-
-/// Runs algorithms under guarded execution + RetryPolicy.
-class Supervisor {
- public:
-  explicit Supervisor(RetryPolicy policy = {});
-
-  [[nodiscard]] const RetryPolicy& policy() const { return policy_; }
-
-  /// Supervised guarded_run_ec: retries transient outcomes with escalated
-  /// budgets, returns the final outcome. The outcome's diagnostics carry
-  /// the rendered SupervisionLog. Installed hooks (options.hooks) are
-  /// reused across attempts as-is.
-  GuardedOutcome run_ec(const Multigraph& g, EcAlgorithm& alg,
-                        const GuardedRunOptions& options);
-
-  /// PO counterpart.
-  GuardedOutcome run_po(const Digraph& g, PoAlgorithm& alg,
-                        const GuardedRunOptions& options);
-
-  /// The log of the most recent run_ec / run_po call.
-  [[nodiscard]] const SupervisionLog& log() const { return log_; }
-
- private:
-  template <typename RunOnce>
-  GuardedOutcome supervise(const GuardedRunOptions& options, RunOnce&& once);
-
-  RetryPolicy policy_;
-  SupervisionLog log_;
 };
 
 }  // namespace ldlb

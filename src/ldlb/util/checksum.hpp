@@ -1,8 +1,8 @@
-// Content checksums for the self-validating snapshot store.
+// Content checksums for the self-validating certificate log.
 //
 // FNV-1a is not cryptographic — it guards against truncation, bit rot and
 // editor accidents, not against a determined forger. Anything loaded from a
-// snapshot is therefore *also* re-validated semantically (the resumable
+// certificate log is therefore *also* re-validated semantically (the resumable
 // adversary re-runs the algorithm on every restored level), so a record
 // with a forged checksum still cannot be trusted into a certificate chain.
 #pragma once

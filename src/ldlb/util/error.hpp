@@ -62,7 +62,7 @@ class ParseError : public Error {
   std::string token_;
 };
 
-/// Thrown by the file helpers (util/atomic_file, the snapshot store) when a
+/// Thrown by the file helpers (util/atomic_file, the certificate log) when a
 /// filesystem operation fails — for real, or injected through the
 /// fault/env_fault seam. Carries the path involved and the errno value, so
 /// the supervision layer can classify transient (ENOSPC, EAGAIN, EINTR)

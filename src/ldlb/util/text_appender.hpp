@@ -1,8 +1,8 @@
 // Append-only encoder for the line-oriented text formats.
 //
-// Every writer of the certificate, graph, snapshot and certificate-log
-// formats renders through TextAppender. Integers go through std::to_chars
-// into a small staging buffer that is flushed into the output string a few
+// Every writer of the certificate, graph and certificate-log formats
+// renders through TextAppender. Integers go through std::to_chars into a
+// small staging buffer that is flushed into the output string a few
 // hundred bytes at a time, so an edge line costs a handful of pointer
 // bumps, not one out-of-line string append per field. There is no ostream,
 // locale or intermediate copy on the way. The appender owns the text until

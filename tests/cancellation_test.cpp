@@ -17,8 +17,9 @@
 #include "ldlb/core/certificate_io.hpp"
 #include "ldlb/fault/guarded_run.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
+#include "ldlb/recover/cert_log.hpp"
 #include "ldlb/recover/resumable_adversary.hpp"
-#include "ldlb/recover/snapshot_store.hpp"
+#include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/cancellation.hpp"
 #include "ldlb/util/thread_pool.hpp"
 #include "ldlb/view/isomorphism.hpp"
@@ -173,26 +174,29 @@ TEST(GuardedRun, CrossThreadCancelInterruptsDelta10Run) {
   EXPECT_FALSE(diagnostics.halt_round.empty());
 }
 
-TEST(Cancellation, ResumableRunLeavesLoadableSnapshotAndResumesIdentically) {
+TEST(Cancellation, ResumableRunLeavesLoadableLogAndResumesIdentically) {
   const int delta = 7;
-  const std::string path = temp_path("cancel_resume.snap");
+  const std::string path = temp_path("cancel_resume.ldcl");
   std::filesystem::remove(path);
 
-  // Clean reference certificate.
+  // Clean reference certificate and the log an uninterrupted run leaves.
   std::string clean;
+  std::string clean_log;
   {
     clear_ball_encoding_cache();
     SeqColorPacking alg{delta};
+    const LowerBoundCertificate chain = run_adversary(alg, delta);
     std::ostringstream os;
-    write_certificate(os, run_adversary(alg, delta));
+    write_certificate(os, chain);
     clean = os.str();
+    clean_log = CertificateLog::serialize(chain);
   }
 
   // Cancel a resumable run from another thread, mid-chain.
   {
     clear_ball_encoding_cache();
     SeqColorPacking alg{delta};
-    SnapshotStore store(path);
+    CertificateLog log(path);
     CancellationToken token;
     ResumeOptions options;
     options.adversary.cancel = &token;
@@ -205,16 +209,16 @@ TEST(Cancellation, ResumableRunLeavesLoadableSnapshotAndResumesIdentically) {
             [&token] { token.request_cancel("mid-chain cancel"); });
       }
     };
-    EXPECT_THROW(run_adversary_resumable(alg, delta, store, options),
+    EXPECT_THROW(run_adversary_resumable(alg, delta, log, options),
                  Cancelled);
     if (canceller.joinable()) canceller.join();
 
     // Whatever was checkpointed must load back as a fully valid prefix —
-    // cancellation must never tear the snapshot file.
-    RecoveryReport report;
-    LowerBoundCertificate partial = store.load(&report);
+    // cancellation must never tear the log.
+    CertLogReport report;
+    LowerBoundCertificate partial = log.load(&report);
     EXPECT_TRUE(report.file_found);
-    EXPECT_TRUE(report.complete) << report.to_string();
+    EXPECT_EQ(report.damage, LogDamage::kNone) << report.to_string();
     EXPECT_GE(partial.levels.size(), 1u);
     EXPECT_LT(partial.levels.size(),
               static_cast<std::size_t>(delta - 1));
@@ -224,19 +228,20 @@ TEST(Cancellation, ResumableRunLeavesLoadableSnapshotAndResumesIdentically) {
   {
     clear_ball_encoding_cache();
     SeqColorPacking alg{delta};
-    SnapshotStore store(path);
+    CertificateLog log(path);
     ResumeInfo info;
     LowerBoundCertificate resumed =
-        run_adversary_resumable(alg, delta, store, {}, &info);
+        run_adversary_resumable(alg, delta, log, {}, &info);
     EXPECT_GT(info.trusted_levels, 0);
     std::ostringstream os;
     write_certificate(os, resumed);
     EXPECT_EQ(os.str(), clean);
+    EXPECT_EQ(read_file(path), clean_log);
   }
   std::filesystem::remove(path);
 }
 
-TEST(Supervisor, CancelledIsNeverTransient) {
+TEST(RetryPolicy, CancelledIsNeverTransient) {
   RetryPolicy policy;
   policy.retry_fault_injected = true;
   EXPECT_FALSE(policy.transient(RunStatus::kCancelled));

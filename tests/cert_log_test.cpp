@@ -1,8 +1,7 @@
 // The append-only streaming certificate log (recover/cert_log.hpp): exact
 // round-trips, O(one level) incremental appends, the typed damage taxonomy,
 // torn-tail recovery that resumes to byte-identical logs, and the
-// CheckpointStore seam that lets the resumable engine run over either
-// store shape unchanged.
+// resumable engine checkpointing into it end to end.
 #include "ldlb/recover/cert_log.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/recover/resumable_adversary.hpp"
-#include "ldlb/recover/snapshot_store.hpp"
 #include "ldlb/util/atomic_file.hpp"
 
 namespace ldlb {
@@ -46,28 +44,36 @@ void spill(const std::string& path, const std::string& bytes) {
 }
 
 TEST(CertLog, RoundTripsAChainExactly) {
-  const LowerBoundCertificate chain = reference_chain(5);
-  CertificateLog log{temp_path("roundtrip.ldcl")};
-  log.remove();
-  log.checkpoint(chain);
+  // A full chain, and an empty one (a header and no records).
+  LowerBoundCertificate empty;
+  empty.delta = 6;
+  for (const LowerBoundCertificate& chain : {reference_chain(5), empty}) {
+    SCOPED_TRACE("levels=" + std::to_string(chain.levels.size()));
+    CertificateLog log{temp_path("roundtrip.ldcl")};
+    log.remove();
+    EXPECT_FALSE(log.exists());
+    log.checkpoint(chain);
+    EXPECT_TRUE(log.exists());
 
-  const CertLogReport report = log.scan();
-  EXPECT_TRUE(report.file_found);
-  EXPECT_EQ(report.damage, LogDamage::kNone);
-  EXPECT_EQ(report.levels_intact, static_cast<int>(chain.levels.size()));
-  EXPECT_TRUE(report.recoverable());
+    const CertLogReport report = log.scan();
+    EXPECT_TRUE(report.file_found);
+    EXPECT_EQ(report.damage, LogDamage::kNone);
+    EXPECT_EQ(report.levels_intact, static_cast<int>(chain.levels.size()));
+    EXPECT_TRUE(report.recoverable());
 
-  RecoveryReport recovery;
-  const LowerBoundCertificate loaded = log.load(&recovery);
-  EXPECT_TRUE(recovery.complete);
-  EXPECT_EQ(recovery.levels_loaded, static_cast<int>(chain.levels.size()));
-  EXPECT_EQ(certificate_to_string(loaded), certificate_to_string(chain));
+    CertLogReport recovery;
+    const LowerBoundCertificate loaded = log.load(&recovery);
+    EXPECT_EQ(recovery.damage, LogDamage::kNone);
+    EXPECT_EQ(recovery.levels_intact, static_cast<int>(chain.levels.size()));
+    EXPECT_EQ(loaded.delta, chain.delta);
+    EXPECT_EQ(certificate_to_string(loaded), certificate_to_string(chain));
 
-  // The file is exactly serialize() of the chain, and scan() agrees on its
-  // length — no trailing bytes, no hidden state.
-  EXPECT_EQ(slurp(log.path()), CertificateLog::serialize(chain));
-  EXPECT_EQ(report.valid_bytes, CertificateLog::serialize(chain).size());
-  log.remove();
+    // The file is exactly serialize() of the chain, and scan() agrees on
+    // its length — no trailing bytes, no hidden state.
+    EXPECT_EQ(slurp(log.path()), CertificateLog::serialize(chain));
+    EXPECT_EQ(report.valid_bytes, CertificateLog::serialize(chain).size());
+    log.remove();
+  }
 }
 
 TEST(CertLog, CheckpointAppendsIncrementally) {
@@ -102,10 +108,10 @@ TEST(CertLog, MissingFileLoadsEmpty) {
   const CertLogReport report = log.scan();
   EXPECT_FALSE(report.file_found);
   EXPECT_EQ(report.damage, LogDamage::kNone);
-  RecoveryReport recovery;
+  CertLogReport recovery;
   EXPECT_TRUE(log.load(&recovery).levels.empty());
   EXPECT_FALSE(recovery.file_found);
-  EXPECT_EQ(recovery.drop_reason, "no certificate log file");
+  EXPECT_NE(recovery.to_string().find("not found"), std::string::npos);
 }
 
 TEST(CertLog, TornTailTruncatesToValidPrefixAndResumes) {
@@ -137,8 +143,9 @@ TEST(CertLog, TornTailTruncatesToValidPrefixAndResumes) {
     EXPECT_TRUE(report.recoverable());
     EXPECT_EQ(report.levels_intact, static_cast<int>(chain.levels.size()) - 1);
 
-    RecoveryReport recovery;
+    CertLogReport recovery;
     const LowerBoundCertificate salvaged = log.load(&recovery);
+    EXPECT_EQ(recovery.damage, report.damage);
     EXPECT_EQ(salvaged.levels.size(), chain.levels.size() - 1);
 
     log.checkpoint(chain);
@@ -180,10 +187,10 @@ TEST(CertLog, BitFlipInPayloadRejectsWholeArtifact) {
               report.damage == LogDamage::kBadRecord)
       << to_string(report.damage);
   EXPECT_FALSE(report.recoverable());
-  RecoveryReport recovery;
+  CertLogReport recovery;
   EXPECT_TRUE(log.load(&recovery).levels.empty());
-  EXPECT_FALSE(recovery.complete);
-  EXPECT_NE(recovery.drop_reason, "");
+  EXPECT_EQ(recovery.damage, report.damage);
+  EXPECT_NE(recovery.detail, "");
 
   // checkpoint() over a rejected artifact rebuilds from scratch.
   log.checkpoint(chain);
@@ -222,8 +229,9 @@ TEST(CertLog, ReorderedRecordsAreAChainBreak) {
   EXPECT_EQ(report.damage, LogDamage::kChainBreak);
   EXPECT_EQ(report.defect_level, 1);
   EXPECT_FALSE(report.recoverable());
-  RecoveryReport recovery;
+  CertLogReport recovery;
   EXPECT_TRUE(log.load(&recovery).levels.empty());
+  EXPECT_EQ(recovery.damage, LogDamage::kChainBreak);
   log.remove();
 }
 
@@ -322,12 +330,12 @@ TEST(CertLog, IncompleteChainIsValidButNotComplete) {
 }
 
 TEST(CertLog, ResumableEngineRunsOverTheLogByteIdentically) {
-  // The CheckpointStore seam end to end: crash-stop a resumable run that
-  // checkpoints into the log, resume it, and compare against both the
-  // uninterrupted run and the snapshot-store-backed run.
+  // The engine end to end: crash-stop a resumable run that checkpoints
+  // into the log, resume it, and compare the certificate and the log bytes
+  // against an uninterrupted run's.
   const int delta = 5;
-  const std::string reference =
-      certificate_to_string(reference_chain(delta));
+  const LowerBoundCertificate chain = reference_chain(delta);
+  const std::string reference = certificate_to_string(chain);
 
   CertificateLog log{temp_path("engine.ldcl")};
   log.remove();
@@ -351,14 +359,7 @@ TEST(CertLog, ResumableEngineRunsOverTheLogByteIdentically) {
   EXPECT_EQ(info.loaded_levels, 2);
   EXPECT_EQ(info.trusted_levels, 2);
   EXPECT_EQ(info.computed_levels, delta - 2 - 1);
-
-  SnapshotStore snap{temp_path("engine.snap")};
-  snap.remove();
-  SeqColorPacking alg2{delta};
-  const LowerBoundCertificate via_snapshot =
-      run_adversary_resumable(alg2, delta, snap, {});
-  EXPECT_EQ(certificate_to_string(via_snapshot), reference);
-  snap.remove();
+  EXPECT_EQ(slurp(log.path()), CertificateLog::serialize(chain));
   log.remove();
 }
 

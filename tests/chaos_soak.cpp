@@ -1,38 +1,34 @@
 // Chaos soak harness: randomized cancel / crash / env-fault / resume cycles.
 //
 // Each cycle picks a degree Δ ∈ {4..8}, a global thread count, and one
-// interference scenario, applies it to a checkpointed adversary run, then
-// resumes with the interference cleared and demands the clean run's exact
-// certificate bytes. Scenarios:
+// interference scenario, applies it to an adversary run checkpointing into
+// a certificate log, then resumes with the interference cleared and
+// demands the clean run's exact certificate bytes — and a repaired log
+// byte-identical to a never-interrupted one. Scenarios:
 //
 //   cancel     cooperative cancel fired from the checkpoint hook at a
 //              random level, then resume;
-//   env-fault  EnvFaultPlan armed on a random (fs-op, mode) pair for a
-//              random nth occurrence, then resume;
-//   torn-tail  a completed snapshot truncated at a random byte, then
-//              resume from the salvaged prefix;
+//   env-fault  EnvFaultPlan armed on a random (fs-op, mode) pair, then
+//              resume; write and fsync at a random nth occurrence (every
+//              checkpoint writes and fsyncs), rename and dir-fsync at the
+//              first (only the log's first checkpoint, a full atomic
+//              rewrite, renames);
+//   torn-tail  a completed log truncated at a random byte, then resume
+//              from the salvaged prefix;
 //   guarded    a deadline-expired / budget-capped / allocation-starved
 //              guarded run must classify (kCancelled / kBudgetExceeded /
 //              kEnvFault) without a certificate, then a clean resumable
 //              run from scratch;
-//   certlog-kill (only with LDLB_CHAOS_CERTLOG=1) a child process
-//              checkpointing into the append-only certificate log is
-//              SIGKILLed from its own checkpoint hook, the survivor log is
-//              additionally torn mid-record, and the reopen must classify
-//              the damage as a recoverable torn tail and resume to the
-//              clean run's exact bytes — with the repaired log file
+//   certlog-kill a child process checkpointing into the certificate log
+//              is SIGKILLed from its own checkpoint hook, the survivor log
+//              is additionally torn mid-record, and the reopen must
+//              classify the damage as a recoverable torn tail and resume to
+//              the clean run's exact bytes — with the repaired log file
 //              byte-identical to a never-crashed one.
-//
-// With LDLB_CHAOS_CERTLOG=1 the checkpoint store also alternates per cycle
-// between the rewrite-whole-file SnapshotStore and the append-only
-// CertificateLog, so every scenario's interference runs against both
-// durability strategies.
 //
 // The seed is printed up front and on every failure; override it with
 // LDLB_CHAOS_SEED and the cycle count with LDLB_CHAOS_CYCLES. Not a gtest
-// binary — scripts/ci.sh runs it as its own bounded stage (with
-// LDLB_CHAOS_CERTLOG=1 so the certificate-log scenarios are in the
-// rotation).
+// binary — scripts/ci.sh runs it as its own bounded stage.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -42,7 +38,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "ldlb/core/adversary.hpp"
@@ -53,7 +48,6 @@
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/recover/cert_log.hpp"
 #include "ldlb/recover/resumable_adversary.hpp"
-#include "ldlb/recover/snapshot_store.hpp"
 #include "ldlb/util/alloc_guard.hpp"
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/cancellation.hpp"
@@ -101,15 +95,12 @@ int main() {
   g_seed = env_u64("LDLB_CHAOS_SEED", 20140721);
   const int cycles =
       static_cast<int>(env_u64("LDLB_CHAOS_CYCLES", 25));
-  const bool certlog_chaos = env_u64("LDLB_CHAOS_CERTLOG", 0) != 0;
-  std::printf("chaos_soak: seed=%llu cycles=%d certlog=%s\n", g_seed, cycles,
-              certlog_chaos ? "on" : "off");
+  std::printf("chaos_soak: seed=%llu cycles=%d\n", g_seed, cycles);
 
-  const std::string path =
+  const std::string log_path =
       (fs::temp_directory_path() /
-       ("ldlb_chaos_" + std::to_string(::getpid()) + ".snap"))
+       ("ldlb_chaos_" + std::to_string(::getpid()) + ".log"))
           .string();
-  const std::string log_path = path + ".log";
 
   Rng rng{static_cast<std::uint64_t>(g_seed)};
   std::map<int, std::string> clean_by_delta;
@@ -123,30 +114,15 @@ int main() {
     }
     return it->second;
   };
-  // With LDLB_CHAOS_CERTLOG=1, odd cycles checkpoint into the append-only
-  // certificate log instead of the snapshot store — same interference, the
-  // other durability strategy.
-  bool use_log = false;
-  const auto store_path = [&]() -> const std::string& {
-    return use_log ? log_path : path;
-  };
-  const auto make_store = [&]() -> std::unique_ptr<CheckpointStore> {
-    if (use_log) return std::make_unique<CertificateLog>(log_path);
-    return std::make_unique<SnapshotStore>(path);
-  };
   const auto resume_and_compare = [&](int delta) {
     SeqColorPacking alg{delta};
-    const auto store = make_store();
-    ResumeInfo info;
-    LowerBoundCertificate chain =
-        run_adversary_resumable(alg, delta, *store, {}, &info);
+    CertificateLog log(log_path);
+    LowerBoundCertificate chain = run_adversary_resumable(alg, delta, log);
     check(certificate_to_string(chain) == clean_bytes(delta),
           "resumed certificate differs from the clean run");
-    if (use_log) {
-      // The repaired log must be byte-identical to a never-crashed one.
-      check(read_file(log_path) == CertificateLog::serialize(chain),
-            "repaired certificate log differs from a clean serialization");
-    }
+    // The repaired log must be byte-identical to a never-crashed one.
+    check(read_file(log_path) == CertificateLog::serialize(chain),
+          "repaired certificate log differs from a clean serialization");
   };
 
   try {
@@ -155,19 +131,16 @@ int main() {
       const int threads = 1 + static_cast<int>(rng.next_below(8));
       ThreadPool::set_global_threads(threads);
       const std::string& clean = clean_bytes(delta);
-      fs::remove(path);
       fs::remove(log_path);
-      use_log = certlog_chaos && g_cycle % 2 == 1;
 
-      // Scenario slots: 0..3 always, 4 = certlog-kill (LDLB_CHAOS_CERTLOG=1).
-      switch (rng.next_below(certlog_chaos ? 5 : 4)) {
+      switch (rng.next_below(5)) {
         case 0: {  // cooperative cancel at a random checkpoint, then resume
           g_scenario = "cancel";
           const int cancel_level =
               static_cast<int>(rng.next_below(delta - 1));
           {
             SeqColorPacking alg{delta};
-            const auto store = make_store();
+            CertificateLog log(log_path);
             CancellationToken token;
             ResumeOptions options;
             options.adversary.cancel = &token;
@@ -177,7 +150,7 @@ int main() {
               }
             };
             try {
-              run_adversary_resumable(alg, delta, *store, options);
+              run_adversary_resumable(alg, delta, log, options);
               // A cancel at the final checkpoint lands after the chain is
               // already complete; nothing was interrupted.
             } catch (const Cancelled&) {
@@ -186,38 +159,44 @@ int main() {
           resume_and_compare(delta);
           break;
         }
-        case 1: {  // fs fault on a random save, then resume
+        case 1: {  // fs fault on a random checkpoint, then resume
           g_scenario = "env-fault";
           const auto op = static_cast<FsOp>(rng.next_below(4));
           auto mode = static_cast<EnvFaultMode>(rng.next_below(3));
           if (op != FsOp::kWrite && mode == EnvFaultMode::kShortWrite) {
             mode = EnvFaultMode::kEio;  // short writes only exist for write()
           }
-          const int nth = 1 + static_cast<int>(rng.next_below(delta - 1));
+          // Only the first checkpoint of a fresh log renames (and fsyncs
+          // the directory); every checkpoint writes and fsyncs.
+          const int nth = op == FsOp::kRename || op == FsOp::kDirFsync
+                              ? 1
+                              : 1 + static_cast<int>(rng.next_below(delta - 1));
           {
             EnvFaultPlan plan;
             ScopedFsFaultInjection install(&plan);
             plan.arm(op, mode, nth);
             SeqColorPacking alg{delta};
-            const auto store = make_store();
+            CertificateLog log(log_path);
             try {
-              run_adversary_resumable(alg, delta, *store, {});
-              // nth beyond the number of saves: the plan never fired.
+              run_adversary_resumable(alg, delta, log);
             } catch (const IoError&) {
             }
+            check(plan.fired(), std::string("armed fault ") + to_string(op) +
+                                    "@" + std::to_string(nth) +
+                                    " never fired");
           }
           resume_and_compare(delta);
           break;
         }
-        case 2: {  // tear the tail off a finished snapshot, then resume
+        case 2: {  // tear the tail off a finished log, then resume
           g_scenario = "torn-tail";
           {
             SeqColorPacking alg{delta};
-            const auto store = make_store();
-            run_adversary_resumable(alg, delta, *store, {});
+            CertificateLog log(log_path);
+            run_adversary_resumable(alg, delta, log);
           }
-          const std::string full = read_file(store_path());
-          write_file_atomic(store_path(),
+          const std::string full = read_file(log_path);
+          write_file_atomic(log_path,
                             full.substr(0, rng.next_below(full.size())));
           resume_and_compare(delta);
           break;
@@ -267,7 +246,6 @@ int main() {
         }
         default: {  // SIGKILL a log-writing child, tear the tail, resume
           g_scenario = "certlog-kill";
-          fs::remove(log_path);
           const int kill_level = static_cast<int>(rng.next_below(delta - 1));
           // The child must not inherit pool workers it cannot join: fork
           // from a single-threaded parent, then restore the cycle's pool.
@@ -279,14 +257,14 @@ int main() {
             int code = 1;
             try {
               SeqColorPacking alg{delta};
-              CertificateLog store(log_path);
+              CertificateLog log(log_path);
               ResumeOptions options;
               options.on_checkpoint = [&](const CertificateLevel& lv) {
                 // A real SIGKILL, not an exception: the child dies with the
                 // append for this level already durable, nothing cleaned up.
                 if (lv.level == kill_level) ::kill(::getpid(), SIGKILL);
               };
-              run_adversary_resumable(alg, delta, store, options);
+              run_adversary_resumable(alg, delta, log, options);
             } catch (const std::exception& e) {
               std::fprintf(stderr, "chaos_soak: writer child: %s\n",
                            e.what());
@@ -311,14 +289,14 @@ int main() {
               std::min<std::size_t>(bytes.size(), 200));
           write_file_atomic(log_path, bytes.substr(0, bytes.size() - tear));
 
-          CertificateLog store(log_path);
-          const CertLogReport report = store.scan();
+          CertificateLog log(log_path);
+          const CertLogReport report = log.scan();
           check(report.recoverable(),
                 "torn certificate log classified unrecoverable: " +
                     report.to_string());
           SeqColorPacking alg{delta};
           LowerBoundCertificate chain =
-              run_adversary_resumable(alg, delta, store, {});
+              run_adversary_resumable(alg, delta, log, {});
           check(certificate_to_string(chain) == clean,
                 "certificate resumed over the torn log differs from the "
                 "clean run");
@@ -336,7 +314,6 @@ int main() {
     fail(std::string("unexpected exception: ") + e.what());
   }
 
-  fs::remove(path);
   fs::remove(log_path);
   ThreadPool::set_global_threads(0);
   std::printf("chaos_soak: all %d cycles ok (seed=%llu)\n", cycles, g_seed);

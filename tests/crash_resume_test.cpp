@@ -1,8 +1,8 @@
 // Kill-and-resume determinism: an adversary run crash-stopped at any level
-// k and resumed from the snapshot store must produce a final certificate
-// byte-identical to an uninterrupted run, and anything untrustworthy in the
-// store (tampering, wrong algorithm, truncation) must be discarded — never
-// trusted into the chain.
+// k and resumed from its certificate log must produce a final certificate —
+// and a final log — byte-identical to an uninterrupted run, and anything
+// untrustworthy in the log (tampering, wrong algorithm, truncation) must be
+// discarded — never trusted into the chain.
 #include "ldlb/recover/resumable_adversary.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "ldlb/core/certificate_io.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/matching/two_phase_packing.hpp"
-#include "ldlb/recover/snapshot_store.hpp"
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/error.hpp"
 
@@ -23,156 +22,175 @@ std::string temp_path(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
 }
 
-std::string reference_text(int delta) {
+LowerBoundCertificate reference_chain(int delta) {
   SeqColorPacking alg{delta};
-  return certificate_to_string(run_adversary(alg, delta));
+  return run_adversary(alg, delta);
+}
+
+std::string reference_text(int delta) {
+  return certificate_to_string(reference_chain(delta));
+}
+
+// The log bytes an uninterrupted run leaves behind.
+std::string reference_log(int delta) {
+  return CertificateLog::serialize(reference_chain(delta));
 }
 
 TEST(CrashResume, ResumedChainIsByteIdenticalForEveryCrashLevel) {
   for (int delta = 4; delta <= 7; ++delta) {
     const std::string reference = reference_text(delta);
+    const std::string clean_log = reference_log(delta);
     for (int k = 0; k <= delta - 2; ++k) {
-      SnapshotStore store{temp_path("crash_resume.snap")};
-      store.remove();
+      CertificateLog log{temp_path("crash_resume.ldcl")};
+      log.remove();
 
       // Phase 1: the run dies right after checkpointing level k.
       {
         SeqColorPacking alg{delta};
         ResumeOptions options;
         options.on_checkpoint = crash_at_level(k);
-        EXPECT_THROW(run_adversary_resumable(alg, delta, store, options),
+        EXPECT_THROW(run_adversary_resumable(alg, delta, log, options),
                      FaultInjected)
             << "delta=" << delta << " k=" << k;
       }
-      // The snapshot survived the crash with exactly levels 0..k.
+      // The log survived the crash with exactly levels 0..k.
       {
-        RecoveryReport report;
-        LowerBoundCertificate snap = store.load(&report);
-        EXPECT_TRUE(report.complete);
-        EXPECT_EQ(static_cast<int>(snap.levels.size()), k + 1);
+        CertLogReport report;
+        LowerBoundCertificate saved = log.load(&report);
+        EXPECT_TRUE(report.file_found);
+        EXPECT_EQ(report.damage, LogDamage::kNone) << report.to_string();
+        EXPECT_EQ(static_cast<int>(saved.levels.size()), k + 1);
       }
 
       // Phase 2: resume and finish.
       SeqColorPacking alg{delta};
       ResumeInfo info;
       LowerBoundCertificate resumed =
-          run_adversary_resumable(alg, delta, store, {}, &info);
+          run_adversary_resumable(alg, delta, log, {}, &info);
       EXPECT_EQ(certificate_to_string(resumed), reference)
           << "delta=" << delta << " k=" << k;
       EXPECT_EQ(info.loaded_levels, k + 1);
       EXPECT_EQ(info.trusted_levels, k + 1);
       EXPECT_EQ(info.computed_levels, delta - 2 - k);
       EXPECT_EQ(info.discard_reason, "");
-      store.remove();
+      EXPECT_EQ(read_file(log.path()), clean_log)
+          << "delta=" << delta << " k=" << k;
+      log.remove();
     }
   }
 }
 
-TEST(CrashResume, FreshRunNeedsNoSnapshot) {
+TEST(CrashResume, FreshRunNeedsNoLog) {
   const int delta = 5;
-  SnapshotStore store{temp_path("fresh.snap")};
-  store.remove();
+  CertificateLog log{temp_path("fresh.ldcl")};
+  log.remove();
   SeqColorPacking alg{delta};
   ResumeInfo info;
   LowerBoundCertificate cert =
-      run_adversary_resumable(alg, delta, store, {}, &info);
+      run_adversary_resumable(alg, delta, log, {}, &info);
   EXPECT_EQ(certificate_to_string(cert), reference_text(delta));
   EXPECT_FALSE(info.recovery.file_found);
   EXPECT_EQ(info.loaded_levels, 0);
   EXPECT_EQ(info.computed_levels, delta - 1);  // levels 0..delta-2
   // The completed chain is durable too.
-  EXPECT_EQ(store.load().levels.size(), static_cast<std::size_t>(delta - 1));
-  store.remove();
+  EXPECT_EQ(log.load().levels.size(), static_cast<std::size_t>(delta - 1));
+  EXPECT_EQ(read_file(log.path()), reference_log(delta));
+  log.remove();
 }
 
-TEST(CrashResume, TruncatedSnapshotResumesFromLongestValidPrefix) {
+TEST(CrashResume, TruncatedLogResumesFromLongestValidPrefix) {
   const int delta = 5;
   const std::string reference = reference_text(delta);
-  SnapshotStore store{temp_path("truncated.snap")};
-  store.remove();
+  CertificateLog log{temp_path("truncated.ldcl")};
+  log.remove();
   {
     SeqColorPacking alg{delta};
     ResumeOptions options;
     options.on_checkpoint = crash_at_level(2);
-    EXPECT_THROW(run_adversary_resumable(alg, delta, store, options),
+    EXPECT_THROW(run_adversary_resumable(alg, delta, log, options),
                  FaultInjected);
   }
   // Damage the file the way a torn write would: cut it mid-record.
-  std::string bytes = read_file(store.path());
-  write_file_atomic(store.path(), bytes.substr(0, bytes.size() - 20));
+  std::string bytes = read_file(log.path());
+  write_file_atomic(log.path(), bytes.substr(0, bytes.size() - 20));
 
   SeqColorPacking alg{delta};
   ResumeInfo info;
   LowerBoundCertificate resumed =
-      run_adversary_resumable(alg, delta, store, {}, &info);
+      run_adversary_resumable(alg, delta, log, {}, &info);
   EXPECT_EQ(certificate_to_string(resumed), reference);
   EXPECT_TRUE(info.recovery.file_found);
-  EXPECT_FALSE(info.recovery.complete);
+  EXPECT_EQ(info.recovery.damage, LogDamage::kTornTail);
   EXPECT_LT(info.loaded_levels, 3);
   EXPECT_GT(info.computed_levels, delta - 2 - 2);
-  store.remove();
+  // The torn tail was truncated away, not left behind the resumed records.
+  EXPECT_EQ(read_file(log.path()), reference_log(delta));
+  log.remove();
 }
 
 TEST(CrashResume, TamperedLevelIsDiscardedByRevalidation) {
   const int delta = 5;
   const std::string reference = reference_text(delta);
-  SnapshotStore store{temp_path("tampered.snap")};
-  store.remove();
+  CertificateLog log{temp_path("tampered.ldcl")};
+  log.remove();
   {
     SeqColorPacking alg{delta};
     ResumeOptions options;
     options.on_checkpoint = crash_at_level(2);
-    EXPECT_THROW(run_adversary_resumable(alg, delta, store, options),
+    EXPECT_THROW(run_adversary_resumable(alg, delta, log, options),
                  FaultInjected);
   }
-  // Forge level 1 through the store API: checksums recompute, so only
-  // semantic re-validation can catch it.
-  LowerBoundCertificate snap = store.load();
-  ASSERT_EQ(snap.levels.size(), 3u);
-  snap.levels[1].g_weight = snap.levels[1].g_weight + Rational(1, 7);
-  store.save(snap);
+  // Forge level 1 and re-serialize the whole log: every checksum
+  // recomputes, so only semantic re-validation can catch it.
+  LowerBoundCertificate forged = log.load();
+  ASSERT_EQ(forged.levels.size(), 3u);
+  forged.levels[1].g_weight = forged.levels[1].g_weight + Rational(1, 7);
+  write_file_atomic(log.path(), CertificateLog::serialize(forged));
+  ASSERT_EQ(log.scan().damage, LogDamage::kNone);
 
   SeqColorPacking alg{delta};
   ResumeInfo info;
   LowerBoundCertificate resumed =
-      run_adversary_resumable(alg, delta, store, {}, &info);
+      run_adversary_resumable(alg, delta, log, {}, &info);
   EXPECT_EQ(certificate_to_string(resumed), reference);
   EXPECT_EQ(info.loaded_levels, 3);
   EXPECT_EQ(info.trusted_levels, 1);  // level 0 intact, 1..2 rebuilt
   EXPECT_NE(info.discard_reason.find("failed re-validation"),
             std::string::npos);
-  store.remove();
+  EXPECT_EQ(read_file(log.path()), reference_log(delta));
+  log.remove();
 }
 
-TEST(CrashResume, SnapshotForDifferentJobIsDiscardedWholesale) {
+TEST(CrashResume, LogForDifferentJobIsDiscardedWholesale) {
   const int delta = 4;
-  SnapshotStore store{temp_path("wrong_job.snap")};
-  store.remove();
+  CertificateLog log{temp_path("wrong_job.ldcl")};
+  log.remove();
   {
     // A complete delta-4 chain from a different algorithm.
     TwoPhasePacking other{delta};
-    run_adversary_resumable(other, delta, store);
+    run_adversary_resumable(other, delta, log);
   }
   SeqColorPacking alg{delta};
   ResumeInfo info;
   LowerBoundCertificate cert =
-      run_adversary_resumable(alg, delta, store, {}, &info);
+      run_adversary_resumable(alg, delta, log, {}, &info);
   EXPECT_EQ(certificate_to_string(cert), reference_text(delta));
   EXPECT_GT(info.loaded_levels, 0);
   EXPECT_EQ(info.trusted_levels, 0);
   EXPECT_NE(info.discard_reason.find("stored chain is for"), std::string::npos);
-  store.remove();
+  EXPECT_EQ(read_file(log.path()), reference_log(delta));
+  log.remove();
 }
 
 TEST(CrashResume, CheckpointHookSeesOnlyFreshLevels) {
   const int delta = 5;
-  SnapshotStore store{temp_path("hook.snap")};
-  store.remove();
+  CertificateLog log{temp_path("hook.ldcl")};
+  log.remove();
   {
     SeqColorPacking alg{delta};
     ResumeOptions options;
     options.on_checkpoint = crash_at_level(1);
-    EXPECT_THROW(run_adversary_resumable(alg, delta, store, options),
+    EXPECT_THROW(run_adversary_resumable(alg, delta, log, options),
                  FaultInjected);
   }
   SeqColorPacking alg{delta};
@@ -181,17 +199,17 @@ TEST(CrashResume, CheckpointHookSeesOnlyFreshLevels) {
   options.on_checkpoint = [&](const CertificateLevel& lv) {
     seen.push_back(lv.level);
   };
-  run_adversary_resumable(alg, delta, store, options);
-  EXPECT_EQ(seen, (std::vector<int>{2, 3}));  // 0..1 came from the store
-  store.remove();
+  run_adversary_resumable(alg, delta, log, options);
+  EXPECT_EQ(seen, (std::vector<int>{2, 3}));  // 0..1 came from the log
+  log.remove();
 }
 
 // The supervision log records every level build, and the retry policy
 // rescues a run whose configured round budget is too small.
 TEST(CrashResume, RetryPolicyEscalatesTightRoundBudgets) {
   const int delta = 4;
-  SnapshotStore store{temp_path("retry.snap")};
-  store.remove();
+  CertificateLog log{temp_path("retry.ldcl")};
+  log.remove();
   SeqColorPacking alg{delta};
   ResumeOptions options;
   options.adversary.max_rounds = 1;  // SeqColorPacking needs delta+1 rounds
@@ -199,7 +217,7 @@ TEST(CrashResume, RetryPolicyEscalatesTightRoundBudgets) {
   options.retry.budget_factor = 2.0;
   ResumeInfo info;
   LowerBoundCertificate cert =
-      run_adversary_resumable(alg, delta, store, options, &info);
+      run_adversary_resumable(alg, delta, log, options, &info);
   EXPECT_EQ(cert.certified_radius(), delta - 2);
   // At least one attempt tripped the budget before escalation rescued it.
   bool saw_budget_trip = false;
@@ -210,7 +228,7 @@ TEST(CrashResume, RetryPolicyEscalatesTightRoundBudgets) {
   EXPECT_FALSE(info.supervision.exhausted);
   EXPECT_GT(info.supervision.attempts.size(),
             static_cast<std::size_t>(delta - 1));
-  store.remove();
+  log.remove();
 }
 
 TEST(CrashResume, PermanentFailuresAreNotRetried) {
@@ -219,19 +237,19 @@ TEST(CrashResume, PermanentFailuresAreNotRetried) {
   // correct, so use a hostile budget of attempts=1 to check the exhausted
   // path instead.
   const int delta = 4;
-  SnapshotStore store{temp_path("exhausted.snap")};
-  store.remove();
+  CertificateLog log{temp_path("exhausted.ldcl")};
+  log.remove();
   SeqColorPacking alg{delta};
   ResumeOptions options;
   options.adversary.max_rounds = 1;
   options.retry.max_attempts = 1;  // no escalation allowed
   ResumeInfo info;
-  EXPECT_THROW(run_adversary_resumable(alg, delta, store, options, &info),
+  EXPECT_THROW(run_adversary_resumable(alg, delta, log, options, &info),
                BudgetExceeded);
   ASSERT_EQ(info.supervision.attempts.size(), 1u);
   EXPECT_EQ(info.supervision.attempts[0].status, RunStatus::kBudgetExceeded);
   EXPECT_TRUE(info.supervision.exhausted);
-  store.remove();
+  log.remove();
 }
 
 }  // namespace

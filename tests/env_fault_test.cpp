@@ -1,9 +1,10 @@
-// Environment fault injection round-trips: every filesystem fault point of
-// write_file_atomic (write / fsync / rename / dir-fsync × EIO / ENOSPC /
-// short-write), injected into a checkpointed adversary run, must leave a
-// loadable snapshot whose resumed run reproduces the clean certificate byte
-// for byte. Allocation-failure injection (util/alloc_guard) must classify
-// as kEnvFault and leave the library reusable afterwards.
+// Environment fault injection round-trips: every filesystem fault point a
+// certificate-log checkpoint passes through (write / fsync / rename /
+// dir-fsync × EIO / ENOSPC / short-write), injected into a checkpointed
+// adversary run, must leave a loadable log whose resumed run reproduces
+// the clean certificate — and the clean log — byte for byte. Allocation-
+// failure injection (util/alloc_guard) must classify as kEnvFault and leave
+// the library reusable afterwards.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -17,8 +18,8 @@
 #include "ldlb/fault/env_fault.hpp"
 #include "ldlb/fault/guarded_run.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
+#include "ldlb/recover/cert_log.hpp"
 #include "ldlb/recover/resumable_adversary.hpp"
-#include "ldlb/recover/snapshot_store.hpp"
 #include "ldlb/util/alloc_guard.hpp"
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/bigint.hpp"
@@ -100,86 +101,113 @@ TEST(EnvFaultPlan, DirFsyncFaultLeavesContentInPlace) {
   fs::remove(path);
 }
 
-// The acceptance sweep: inject each (operation, mode) pair into the nth
-// checkpoint save of a resumable adversary run, then resume with the fault
-// cleared and demand the clean run's exact certificate bytes.
+// The acceptance sweep: inject each (operation, mode) pair into a
+// checkpoint of a resumable adversary run over a fresh certificate log,
+// then resume with the fault cleared and demand the clean run's exact
+// certificate and log bytes.
+//
+// On a fresh log only the first checkpoint goes through write_file_atomic
+// (write, fsync, rename, dir-fsync); every later one is an
+// append_file_durable (write, fsync). So rename and dir-fsync are armed on
+// their first occurrence — the level-0 checkpoint — and write and fsync on
+// their second, which belongs to the level-1 append: level 0 lands cleanly
+// and the fault hits mid-chain.
 TEST(EnvFaultSweep, CheckpointedRunSurvivesEveryFaultPoint) {
   const int delta = 5;
   std::string clean;
+  std::string clean_log;
   {
     clear_ball_encoding_cache();
     SeqColorPacking alg{delta};
-    clean = certificate_bytes(run_adversary(alg, delta));
+    const LowerBoundCertificate chain = run_adversary(alg, delta);
+    clean = certificate_bytes(chain);
+    clean_log = CertificateLog::serialize(chain);
   }
 
-  const std::vector<std::pair<FsOp, EnvFaultMode>> points = {
-      {FsOp::kWrite, EnvFaultMode::kEio},
-      {FsOp::kWrite, EnvFaultMode::kEnospc},
-      {FsOp::kWrite, EnvFaultMode::kShortWrite},
-      {FsOp::kFsync, EnvFaultMode::kEio},
-      {FsOp::kFsync, EnvFaultMode::kEnospc},
-      {FsOp::kRename, EnvFaultMode::kEio},
-      {FsOp::kRename, EnvFaultMode::kEnospc},
-      {FsOp::kDirFsync, EnvFaultMode::kEio},
-      {FsOp::kDirFsync, EnvFaultMode::kEnospc},
+  struct FaultPoint {
+    FsOp op;
+    EnvFaultMode mode;
+    int nth;
+    // What the interrupted run leaves behind.
+    bool file_left;       // the log file exists
+    LogDamage damage;     // its scan verdict
+    std::size_t levels;   // records it still holds intact
   };
-  for (const auto& [op, mode] : points) {
-    SCOPED_TRACE(std::string(to_string(op)) + "/" + to_string(mode));
-    const std::string path = temp_path(std::string("sweep_") +
-                                       to_string(op) + "_" + to_string(mode) +
-                                       ".snap");
+  const std::vector<FaultPoint> points = {
+      // The level-1 append fails before any byte lands.
+      {FsOp::kWrite, EnvFaultMode::kEio, 2, true, LogDamage::kNone, 1},
+      {FsOp::kWrite, EnvFaultMode::kEnospc, 2, true, LogDamage::kNone, 1},
+      // Half the level-1 record lands: a torn tail resume truncates away.
+      {FsOp::kWrite, EnvFaultMode::kShortWrite, 2, true, LogDamage::kTornTail,
+       1},
+      // The level-1 record is written, only its durability is unconfirmed.
+      {FsOp::kFsync, EnvFaultMode::kEio, 2, true, LogDamage::kNone, 2},
+      {FsOp::kFsync, EnvFaultMode::kEnospc, 2, true, LogDamage::kNone, 2},
+      // The level-0 rewrite never reaches the log's name.
+      {FsOp::kRename, EnvFaultMode::kEio, 1, false, LogDamage::kNone, 0},
+      {FsOp::kRename, EnvFaultMode::kEnospc, 1, false, LogDamage::kNone, 0},
+      // The level-0 rewrite is renamed in; only the dirent is unconfirmed.
+      {FsOp::kDirFsync, EnvFaultMode::kEio, 1, true, LogDamage::kNone, 1},
+      {FsOp::kDirFsync, EnvFaultMode::kEnospc, 1, true, LogDamage::kNone, 1},
+  };
+  for (const FaultPoint& point : points) {
+    SCOPED_TRACE(std::string(to_string(point.op)) + "/" +
+                 to_string(point.mode) + "@" + std::to_string(point.nth));
+    const std::string path =
+        temp_path(std::string("sweep_") + to_string(point.op) + "_" +
+                  to_string(point.mode) + ".ldcl");
     fs::remove(path);
     EnvFaultPlan plan;
     ScopedFsFaultInjection install(&plan);
 
-    // Fault the *second* checkpoint save: level 0 lands cleanly, the fault
-    // hits mid-chain. (Each save is one write_file_atomic call; the payload
-    // fits one write() call, so write occurrence n belongs to save n.)
-    plan.arm(op, mode, 2);
+    plan.arm(point.op, point.mode, point.nth);
     {
       clear_ball_encoding_cache();
       SeqColorPacking alg{delta};
-      SnapshotStore store(path);
-      // The checkpoint save sits outside per-level supervision, so the
+      CertificateLog log(path);
+      // The checkpoint write sits outside per-level supervision, so the
       // injected IoError surfaces directly whatever the retry policy says.
-      EXPECT_THROW(run_adversary_resumable(alg, delta, store, {}), IoError);
+      EXPECT_THROW(run_adversary_resumable(alg, delta, log, {}), IoError);
       EXPECT_TRUE(plan.fired());
     }
     plan.disarm();
 
-    // The snapshot must load to a valid prefix — the level-0 checkpoint at
-    // minimum, plus the interrupted save's content iff the fault hit after
-    // its rename (dir-fsync).
+    // The log loads to a valid prefix: no damage but a torn tail, and
+    // exactly the records that were durably appended before the fault.
     {
-      SnapshotStore store(path);
-      RecoveryReport report;
-      LowerBoundCertificate partial = store.load(&report);
-      EXPECT_TRUE(report.file_found);
-      EXPECT_TRUE(report.complete) << report.to_string();
-      EXPECT_GE(partial.levels.size(), 1u);
+      CertificateLog log(path);
+      CertLogReport report;
+      LowerBoundCertificate partial = log.load(&report);
+      EXPECT_EQ(report.file_found, point.file_left) << report.to_string();
+      EXPECT_EQ(report.damage, point.damage) << report.to_string();
+      EXPECT_EQ(partial.levels.size(), point.levels) << report.to_string();
     }
 
-    // Resume with the fault cleared: byte-identical final certificate.
+    // Resume with the fault cleared: byte-identical final certificate, and
+    // a repaired log byte-identical to a never-faulted one.
     {
       clear_ball_encoding_cache();
       SeqColorPacking alg{delta};
-      SnapshotStore store(path);
+      CertificateLog log(path);
       ResumeInfo info;
       LowerBoundCertificate resumed =
-          run_adversary_resumable(alg, delta, store, {}, &info);
-      EXPECT_GT(info.trusted_levels, 0);
+          run_adversary_resumable(alg, delta, log, {}, &info);
+      EXPECT_EQ(info.trusted_levels, static_cast<int>(point.levels));
       EXPECT_EQ(certificate_bytes(resumed), clean);
+      EXPECT_EQ(read_file(path), CertificateLog::serialize(resumed));
+      EXPECT_EQ(read_file(path), clean_log);
     }
+    EXPECT_EQ(tmp_files_in(::testing::TempDir()), 0) << "torn temp file left";
     fs::remove(path);
   }
 }
 
 // A fault the retry policy deems transient (ENOSPC) and that then clears
 // must be retried and absorbed by the per-level supervision, not surfaced.
-// Note the checkpoint save itself sits outside supervised_level, so the
-// transient fault is injected into a *simulated run* via the allocation
-// path instead — covered below — while ENOSPC on the checkpoint write is
-// exercised here only for classification.
+// The checkpoint write itself sits outside supervised_level, so ENOSPC on
+// it is exercised here only for classification; a transient IoError
+// raised inside a level build is retried end to end in
+// supervisor_test.cpp (SupervisedLevel.TransientEnospcRetriesThenSucceeds).
 TEST(EnvFault, EnospcCheckpointFaultIsClassifiedTransient) {
   RetryPolicy policy;
   EXPECT_TRUE(policy.transient(RunStatus::kEnvFault, ENOSPC));

@@ -1,66 +1,31 @@
 // The supervised retry layer: transient-vs-permanent classification of
-// RunStatus, budget escalation across attempts, fail-fast on permanent
-// failures, and the SupervisionLog surviving into RunDiagnostics.
+// RunStatus, budget escalation across attempts, the SupervisionLog, and
+// the per-level retry loop of run_adversary_resumable acting on them —
+// transient I/O failures retried, permanent ones failing fast.
 #include "ldlb/recover/supervisor.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <filesystem>
 
-#include "ldlb/graph/edge_coloring.hpp"
-#include "ldlb/graph/generators.hpp"
+#include "ldlb/core/certificate_io.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
+#include "ldlb/recover/cert_log.hpp"
+#include "ldlb/recover/resumable_adversary.hpp"
+#include "ldlb/util/atomic_file.hpp"
 
 namespace ldlb {
 namespace {
 
-Multigraph small_graph() { return greedy_edge_coloring(make_cycle(6)); }
-
-int num_colors(const Multigraph& g) {
-  int k = 0;
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    k = std::max(k, g.edge(e).color + 1);
-  }
-  return k;
+std::string temp_path(const std::string& name) {
+  return (std::filesystem::path(::testing::TempDir()) / name).string();
 }
 
-// Correct-but-slow: announces the all-zero matching, but only halts after
-// `slow_rounds` rounds. Passes the simulator's cross-check (both ends of
-// every edge announce 0); run with check_output=false since all-zero is of
-// course not maximal.
-class SlowStarter : public EcAlgorithm {
- public:
-  explicit SlowStarter(int slow_rounds) : slow_rounds_(slow_rounds) {}
-
-  class Node : public EcNodeState {
-   public:
-    Node(std::vector<Color> colors, int slow_rounds)
-        : colors_(std::move(colors)), slow_rounds_(slow_rounds) {}
-    std::map<Color, Message> send(int) override { return {}; }
-    void receive(int round, const std::map<Color, Message>&) override {
-      halted_ = round >= slow_rounds_;
-    }
-    [[nodiscard]] bool halted() const override { return halted_; }
-    [[nodiscard]] std::map<Color, Rational> output() const override {
-      std::map<Color, Rational> out;
-      for (Color c : colors_) out[c] = Rational(0);
-      return out;
-    }
-
-   private:
-    std::vector<Color> colors_;
-    int slow_rounds_;
-    bool halted_ = false;
-  };
-
-  std::unique_ptr<EcNodeState> make_node(const EcNodeContext& ctx) override {
-    return std::make_unique<Node>(ctx.incident_colors, slow_rounds_);
-  }
-  [[nodiscard]] std::string name() const override { return "SlowStarter"; }
-
- private:
-  int slow_rounds_;
-};
+std::string reference_text(int delta) {
+  SeqColorPacking alg{delta};
+  return certificate_to_string(run_adversary(alg, delta));
+}
 
 // Halts instantly but announces nothing: a permanent ModelViolation.
 class Mute : public EcAlgorithm {
@@ -78,6 +43,41 @@ class Mute : public EcAlgorithm {
     return std::make_unique<Node>();
   }
   [[nodiscard]] std::string name() const override { return "Mute"; }
+};
+
+// Environment-flaky black box: its first `failures` runs die with an
+// IoError carrying `io_errno` before computing anything; every later run
+// is SeqColorPacking's, under SeqColorPacking's name, so a rescued chain
+// is byte-identical to the clean one.
+class IoFlaky : public EcAlgorithm {
+ public:
+  IoFlaky(int delta, int failures, int io_errno)
+      : inner_(delta), failures_(failures), io_errno_(io_errno) {}
+
+  std::unique_ptr<EcNodeState> make_node(const EcNodeContext& ctx) override {
+    fail_while_flaky();
+    return inner_.make_node(ctx);
+  }
+  // A run starts here when the simulator takes the closed-form path.
+  [[nodiscard]] std::optional<EcDirectRun> evaluate_direct(
+      const Multigraph& g) const override {
+    fail_while_flaky();
+    return inner_.evaluate_direct(g);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  // The failure counter is unsynchronized state (parallel_safe() stays
+  // false, so every run is serial).
+
+ private:
+  void fail_while_flaky() const {
+    if (failures_ == 0) return;
+    --failures_;
+    throw IoError("injected transient I/O failure", "/dev/flaky", io_errno_);
+  }
+
+  SeqColorPacking inner_;
+  mutable int failures_;
+  int io_errno_;
 };
 
 TEST(RetryPolicy, ClassifiesTransientVsPermanent) {
@@ -107,144 +107,6 @@ TEST(RetryPolicy, EscalatesEveryFiniteBudget) {
   EXPECT_EQ(third.max_wall_seconds, 0);
 }
 
-TEST(Supervisor, BudgetEscalationRescuesASlowRun) {
-  Multigraph g = small_graph();
-  SlowStarter alg{12};
-  RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.budget_factor = 2.0;
-  Supervisor supervisor{policy};
-  GuardedRunOptions options;
-  options.budget.max_rounds = 2;  // needs 12: attempts run 2, 4, 8, 16
-  options.check_output = false;
-  GuardedOutcome outcome = supervisor.run_ec(g, alg, options);
-
-  EXPECT_EQ(outcome.status, RunStatus::kOk);
-  ASSERT_EQ(supervisor.log().attempts.size(), 4u);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(supervisor.log().attempts[i].status,
-              RunStatus::kBudgetExceeded);
-  }
-  EXPECT_EQ(supervisor.log().attempts[3].status, RunStatus::kOk);
-  EXPECT_EQ(supervisor.log().attempts[3].max_rounds, 16);
-  EXPECT_FALSE(supervisor.log().exhausted);
-  // The log survives into the outcome's diagnostics.
-  EXPECT_NE(outcome.diagnostics.supervision.find("attempt 4"),
-            std::string::npos);
-}
-
-TEST(Supervisor, GivesUpAfterMaxAttempts) {
-  Multigraph g = small_graph();
-  SlowStarter alg{1000};
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  Supervisor supervisor{policy};
-  GuardedRunOptions options;
-  options.budget.max_rounds = 1;
-  options.check_output = false;
-  GuardedOutcome outcome = supervisor.run_ec(g, alg, options);
-
-  EXPECT_EQ(outcome.status, RunStatus::kBudgetExceeded);
-  EXPECT_EQ(supervisor.log().attempts.size(), 3u);
-  EXPECT_TRUE(supervisor.log().exhausted);
-  EXPECT_NE(outcome.diagnostics.supervision.find("giving up"),
-            std::string::npos);
-}
-
-TEST(Supervisor, PermanentFailureFailsFast) {
-  Multigraph g = small_graph();
-  Mute alg;
-  Supervisor supervisor{{}};
-  GuardedRunOptions options;
-  options.budget.max_rounds = 4;
-  GuardedOutcome outcome = supervisor.run_ec(g, alg, options);
-
-  EXPECT_EQ(outcome.status, RunStatus::kModelViolation);
-  EXPECT_EQ(supervisor.log().attempts.size(), 1u);  // no pointless retries
-  EXPECT_FALSE(supervisor.log().exhausted);
-}
-
-TEST(Supervisor, CleanRunRecordsOneAttempt) {
-  Multigraph g = small_graph();
-  SeqColorPacking alg{num_colors(g)};
-  Supervisor supervisor{{}};
-  GuardedRunOptions options;
-  options.budget.max_rounds = num_colors(g) + 1;
-  GuardedOutcome outcome = supervisor.run_ec(g, alg, options);
-
-  EXPECT_TRUE(outcome.ok());
-  EXPECT_EQ(supervisor.log().attempts.size(), 1u);
-  EXPECT_EQ(outcome.diagnostics.supervision,
-            supervisor.log().to_string());
-}
-
-// Environment-flaky black box: the first `failures` runs die in make_node
-// with an IoError carrying `io_errno`, later runs behave like SeqColorPacking.
-class IoFlaky : public SeqColorPacking {
- public:
-  IoFlaky(int delta, int failures, int io_errno)
-      : SeqColorPacking(delta), failures_(failures), io_errno_(io_errno) {}
-
-  std::unique_ptr<EcNodeState> make_node(const EcNodeContext& ctx) override {
-    if (runs_seen_ == 0 && failures_ > 0) {
-      --failures_;
-      throw IoError("injected transient I/O failure", "/dev/flaky",
-                    io_errno_);
-    }
-    ++runs_seen_;
-    return SeqColorPacking::make_node(ctx);
-  }
-  [[nodiscard]] std::string name() const override { return "IoFlaky"; }
-  // The failure counters are unsynchronized factory state.
-  [[nodiscard]] bool parallel_safe() const override { return false; }
-
- private:
-  int failures_;
-  int io_errno_;
-  int runs_seen_ = 0;
-};
-
-TEST(Supervisor, TransientEnospcRetriesThenSucceeds) {
-  Multigraph g = small_graph();
-  IoFlaky alg{num_colors(g), /*failures=*/2, ENOSPC};
-  RetryPolicy policy;
-  policy.max_attempts = 4;
-  Supervisor supervisor{policy};
-  GuardedRunOptions options;
-  options.budget.max_rounds = num_colors(g) + 1;
-  GuardedOutcome outcome = supervisor.run_ec(g, alg, options);
-
-  EXPECT_TRUE(outcome.ok());
-  ASSERT_EQ(supervisor.log().attempts.size(), 3u);
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_EQ(supervisor.log().attempts[i].status, RunStatus::kEnvFault);
-    EXPECT_NE(supervisor.log().attempts[i].error.find("transient I/O"),
-              std::string::npos);
-  }
-  EXPECT_EQ(supervisor.log().attempts[2].status, RunStatus::kOk);
-  EXPECT_FALSE(supervisor.log().exhausted);
-  EXPECT_NE(outcome.diagnostics.supervision.find("env-fault"),
-            std::string::npos);
-}
-
-TEST(Supervisor, PermanentEioStopsAfterOneAttempt) {
-  Multigraph g = small_graph();
-  IoFlaky alg{num_colors(g), /*failures=*/1, EIO};
-  RetryPolicy policy;
-  policy.max_attempts = 4;
-  Supervisor supervisor{policy};
-  GuardedRunOptions options;
-  options.budget.max_rounds = num_colors(g) + 1;
-  GuardedOutcome outcome = supervisor.run_ec(g, alg, options);
-
-  EXPECT_EQ(outcome.status, RunStatus::kEnvFault);
-  EXPECT_EQ(outcome.env_errno, EIO);
-  EXPECT_EQ(supervisor.log().attempts.size(), 1u);  // EIO never retries
-  EXPECT_FALSE(supervisor.log().exhausted);
-  EXPECT_NE(outcome.diagnostics.supervision.find("env-fault"),
-            std::string::npos);
-}
-
 TEST(SupervisionLog, RendersAllAttempts) {
   SupervisionLog log;
   log.attempts.push_back(
@@ -256,13 +118,96 @@ TEST(SupervisionLog, RendersAllAttempts) {
   EXPECT_NE(text.find("attempt 2: max_rounds=8 -> ok"), std::string::npos);
 }
 
-TEST(Supervisor, RejectsNonsensePolicies) {
-  RetryPolicy zero;
-  zero.max_attempts = 0;
-  EXPECT_THROW(Supervisor{zero}, ContractViolation);
-  RetryPolicy shrinking;
-  shrinking.budget_factor = 0.5;
-  EXPECT_THROW(Supervisor{shrinking}, ContractViolation);
+TEST(SupervisedLevel, TransientEnospcRetriesThenSucceeds) {
+  const int delta = 4;
+  CertificateLog log{temp_path("enospc.ldcl")};
+  log.remove();
+  IoFlaky alg{delta, /*failures=*/2, ENOSPC};
+  ResumeOptions options;
+  options.retry.max_attempts = 4;
+  ResumeInfo info;
+  const LowerBoundCertificate cert =
+      run_adversary_resumable(alg, delta, log, options, &info);
+  EXPECT_EQ(certificate_to_string(cert), reference_text(delta));
+
+  // The level-0 build failed twice, then every level succeeded first time.
+  const auto& attempts = info.supervision.attempts;
+  ASSERT_EQ(attempts.size(), static_cast<std::size_t>(2 + delta - 1));
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(attempts[i].status, RunStatus::kEnvFault);
+    EXPECT_NE(attempts[i].error.find("transient I/O"), std::string::npos);
+  }
+  for (std::size_t i = 2; i < attempts.size(); ++i) {
+    EXPECT_EQ(attempts[i].status, RunStatus::kOk);
+  }
+  EXPECT_FALSE(info.supervision.exhausted);
+  EXPECT_NE(info.supervision.to_string().find("env-fault"),
+            std::string::npos);
+  EXPECT_EQ(read_file(log.path()), CertificateLog::serialize(cert));
+  log.remove();
+}
+
+TEST(SupervisedLevel, PermanentEioStopsAfterOneAttempt) {
+  const int delta = 4;
+  CertificateLog log{temp_path("eio.ldcl")};
+  log.remove();
+  IoFlaky alg{delta, /*failures=*/1, EIO};
+  ResumeOptions options;
+  options.retry.max_attempts = 4;
+  ResumeInfo info;
+  try {
+    run_adversary_resumable(alg, delta, log, options, &info);
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.error_code(), EIO);
+  }
+  ASSERT_EQ(info.supervision.attempts.size(), 1u);  // EIO never retries
+  EXPECT_EQ(info.supervision.attempts[0].status, RunStatus::kEnvFault);
+  EXPECT_FALSE(info.supervision.exhausted);
+  EXPECT_FALSE(log.exists());  // no level was ever certified
+}
+
+TEST(SupervisedLevel, PermanentFailureFailsFast) {
+  CertificateLog log{temp_path("mute.ldcl")};
+  log.remove();
+  Mute alg;
+  ResumeInfo info;
+  EXPECT_THROW(run_adversary_resumable(alg, 4, log, {}, &info),
+               ModelViolation);
+  ASSERT_EQ(info.supervision.attempts.size(), 1u);  // no pointless retries
+  EXPECT_EQ(info.supervision.attempts[0].status, RunStatus::kModelViolation);
+  EXPECT_FALSE(info.supervision.exhausted);
+  log.remove();
+}
+
+TEST(SupervisedLevel, CleanRunRecordsOneAttemptPerLevel) {
+  const int delta = 4;
+  CertificateLog log{temp_path("clean.ldcl")};
+  log.remove();
+  SeqColorPacking alg{delta};
+  ResumeInfo info;
+  (void)run_adversary_resumable(alg, delta, log, {}, &info);
+  ASSERT_EQ(info.supervision.attempts.size(),
+            static_cast<std::size_t>(delta - 1));
+  for (const auto& at : info.supervision.attempts) {
+    EXPECT_EQ(at.status, RunStatus::kOk);
+    EXPECT_EQ(at.attempt, 1);
+  }
+  log.remove();
+}
+
+TEST(SupervisedLevel, RejectsNonsensePolicies) {
+  CertificateLog log{temp_path("policy.ldcl")};
+  log.remove();
+  SeqColorPacking alg{4};
+  ResumeOptions zero;
+  zero.retry.max_attempts = 0;
+  EXPECT_THROW(run_adversary_resumable(alg, 4, log, zero), ContractViolation);
+  ResumeOptions shrinking;
+  shrinking.retry.budget_factor = 0.5;
+  EXPECT_THROW(run_adversary_resumable(alg, 4, log, shrinking),
+               ContractViolation);
+  EXPECT_FALSE(log.exists());  // rejected before any work
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
-// Tests for the utility layer: deterministic RNG and contract macros.
+// Tests for the utility layer: deterministic RNG, contract macros, the
+// crash-safe file helpers and the checksum hex codec.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 
+#include "ldlb/util/atomic_file.hpp"
+#include "ldlb/util/checksum.hpp"
 #include "ldlb/util/error.hpp"
 #include "ldlb/util/rng.hpp"
 
@@ -97,6 +101,45 @@ TEST(Contracts, EnsurePassesSilently) {
   LDLB_ENSURE(2 + 2 == 4);
   LDLB_REQUIRE(true);
   SUCCEED();
+}
+
+namespace fs = std::filesystem;
+
+std::string temp_path(const std::string& name) {
+  return (fs::path(::testing::TempDir()) / name).string();
+}
+
+TEST(AtomicFile, WriteToUnwritableDirectoryThrowsIoError) {
+  EXPECT_THROW(write_file_atomic("/nonexistent-dir/x/y.log", "content"),
+               IoError);
+  EXPECT_THROW((void)read_file(temp_path("does_not_exist.bin")), IoError);
+}
+
+TEST(AtomicFile, ReplaceLeavesNoTempFilesBehind) {
+  const std::string path = temp_path("atomic_dir/no_leftovers.txt");
+  fs::create_directories(fs::path(path).parent_path());
+  write_file_atomic(path, "first content");
+  write_file_atomic(path, "second");  // overwrite
+
+  int entries = 0;
+  for (const auto& entry : fs::directory_iterator(fs::path(path).parent_path())) {
+    ++entries;
+    EXPECT_EQ(entry.path().string(), path) << "leftover: " << entry.path();
+  }
+  EXPECT_EQ(entries, 1);
+  // And the overwrite really replaced the content.
+  EXPECT_EQ(read_file(path), "second");
+  fs::remove_all(fs::path(path).parent_path());
+}
+
+TEST(Checksum, HexHelpersRoundTrip) {
+  const std::uint64_t h = fnv1a_64("ldlb-cert-log");
+  std::uint64_t back = 0;
+  ASSERT_TRUE(checksum_from_hex(checksum_to_hex(h), back));
+  EXPECT_EQ(back, h);
+  EXPECT_FALSE(checksum_from_hex("short", back));
+  EXPECT_FALSE(checksum_from_hex("00000000DEADBEEF", back));  // upper case
+  EXPECT_EQ(checksum_to_hex(0), "0000000000000000");
 }
 
 }  // namespace
