@@ -24,13 +24,12 @@ int adversary_round_budget(int delta, const AdversaryOptions& options) {
 
 namespace {
 
-// All simulated runs inside a step share the round budget, the optional
-// observation hooks, and the cancellation token.
+// All simulated runs inside a step share the round budget and the
+// cancellation token.
 FractionalMatching run_on(const Multigraph& g, EcAlgorithm& algorithm,
                           int budget, const AdversaryOptions& options) {
   RunOptions run_options;
   run_options.budget.max_rounds = budget;
-  run_options.hooks = options.hooks;
   run_options.cancel = options.cancel;
   if (options.diagnostics == nullptr) {
     return run_ec(g, algorithm, run_options).matching;
@@ -240,10 +239,7 @@ CertificateLevel adversary_step(EcAlgorithm& algorithm, int delta,
   // discards also discards its result *and* any failure it produced, so
   // observable behaviour — certificates and surfaced exceptions alike —
   // matches the lazy path exactly.
-  const bool speculate =
-      algorithm.parallel_safe() &&
-      (options.hooks == nullptr || options.hooks->parallel_safe()) &&
-      global_pool().size() > 1;
+  const bool speculate = algorithm.parallel_safe() && global_pool().size() > 1;
   if (!speculate) {
     FractionalMatching y_gh = run_on(plan.gh, algorithm, budget, options);
     // Lazy fetch: simulate the selected unfolding only when asked for it.

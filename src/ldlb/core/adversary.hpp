@@ -36,7 +36,6 @@
 
 namespace ldlb {
 
-class RunHooks;
 class CancellationToken;
 struct RunDiagnostics;
 
@@ -45,12 +44,6 @@ struct AdversaryOptions {
   /// Upper bound on simulated rounds per run (guards non-terminating
   /// algorithms); 0 means "use 16·(Δ+2)²".
   int max_rounds = 0;
-  /// Optional observation hooks (local/hooks.hpp) installed on every
-  /// simulated run an adversary step performs; not owned. Interfering hooks
-  /// (fault plans) will generally break the construction — the intended use
-  /// is passive instrumentation of long runs. Hooks whose parallel_safe()
-  /// is false also disable the adversary's speculative execution.
-  RunHooks* hooks = nullptr;
   /// Cooperative cancellation (not owned; may be null): polled between
   /// levels, between phases of a step, and — through RunOptions — inside
   /// every simulated run, so a cancel lands within one chunk of simulator

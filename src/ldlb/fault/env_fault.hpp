@@ -1,10 +1,10 @@
 // Environment fault injection: hostile-filesystem and allocation-failure
 // plans for the checkpoint/resume layer.
 //
-// fault/fault_plan.hpp attacks the *protocol* (crashes, drops,
-// corruption); this file attacks the *environment* the library runs in.
-// EnvFaultPlan implements util/atomic_file.hpp's FsFaultInjector seam and
-// fails a chosen filesystem operation — the nth write, fsync, rename, or
+// The simulated LOCAL model itself is reliable; this file attacks the
+// *environment* the library runs in. EnvFaultPlan implements
+// util/atomic_file.hpp's FsFaultInjector seam and fails a chosen
+// filesystem operation — the nth write, fsync, rename, or
 // directory fsync — with EIO, ENOSPC, or a short write. Because every
 // checkpoint path in the repo goes through util/atomic_file (the
 // certificate log's first checkpoint is a write_file_atomic, later ones

@@ -22,9 +22,6 @@ GuardedOutcome classify(Body&& body) {
   } catch (const ModelViolation& e) {
     outcome.status = RunStatus::kModelViolation;
     outcome.error = e.what();
-  } catch (const FaultInjected& e) {
-    outcome.status = RunStatus::kFaultInjected;
-    outcome.error = e.what();
   } catch (const Cancelled& e) {
     outcome.status = RunStatus::kCancelled;
     outcome.error = e.what();
@@ -55,8 +52,6 @@ const char* to_string(RunStatus status) {
       return "budget-exceeded";
     case RunStatus::kModelViolation:
       return "model-violation";
-    case RunStatus::kFaultInjected:
-      return "fault-injected";
     case RunStatus::kCancelled:
       return "cancelled";
     case RunStatus::kEnvFault:
@@ -78,7 +73,6 @@ GuardedOutcome guarded_run_ec(const Multigraph& g, EcAlgorithm& alg,
   GuardedOutcome outcome = classify([&](GuardedOutcome& out) {
     RunOptions run_options;
     run_options.budget = options.budget;
-    run_options.hooks = options.hooks;
     run_options.diagnostics = &out.diagnostics;
     run_options.cancel = options.cancel;
     return run_ec(g, alg, run_options);
@@ -97,7 +91,6 @@ GuardedOutcome guarded_run_po(const Digraph& g, PoAlgorithm& alg,
   GuardedOutcome outcome = classify([&](GuardedOutcome& out) {
     RunOptions run_options;
     run_options.budget = options.budget;
-    run_options.hooks = options.hooks;
     run_options.diagnostics = &out.diagnostics;
     run_options.cancel = options.cancel;
     return run_po(g, alg, run_options);

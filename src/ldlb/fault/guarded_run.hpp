@@ -1,22 +1,20 @@
-// Guarded execution: run an untrusted algorithm under budgets and optional
-// fault injection, and get back a *classified* outcome instead of a loose
-// exception.
+// Guarded execution: run an untrusted algorithm under budgets and get back
+// a *classified* outcome instead of a loose exception.
 //
 // A GuardedOutcome tells you, in machine-readable form, exactly how a run
-// went: clean, over budget, in breach of the LOCAL output contract, trapped
-// on an injected fault, cancelled cooperatively, killed by an environment
-// fault (I/O error or allocation failure), or producing a weight vector the
-// checker rejects (with the checker's structured ViolationReport). Partial
-// RunDiagnostics survive even when the run dies mid-flight, so the
-// per-round traffic histogram and the halting profile of a failed run are
-// still observable.
+// went: clean, over budget, in breach of the LOCAL output contract,
+// cancelled cooperatively, killed by an environment fault (I/O error or
+// allocation failure), or producing a weight vector the checker rejects
+// (with the checker's structured ViolationReport). Partial RunDiagnostics
+// survive even when the run dies mid-flight, so the per-round traffic
+// histogram and the halting profile of a failed run are still observable.
 //
-// This is the harness every fault-detection round-trip test runs on, and
-// the entry point future perf/scaling work should use to execute untrusted
-// algorithms. `guarded_run_adversary` extends the same contract to a whole
-// adversary run: the certificate chain built so far is dropped on failure,
-// but the classified status, the errno of an environment fault, and the
-// diagnostics of the last simulated run all survive.
+// This is the harness the broken-algorithm tests run on, and the entry
+// point for executing untrusted algorithms. `guarded_run_adversary`
+// extends the same contract to a whole adversary run: the certificate
+// chain built so far is dropped on failure, but the classified status, the
+// errno of an environment fault, and the diagnostics of the last simulated
+// run all survive.
 #pragma once
 
 #include <optional>
@@ -35,7 +33,6 @@ enum class RunStatus {
   kOk,                 ///< completed; see `check` for output validity
   kBudgetExceeded,     ///< a round / message / wall-clock budget tripped
   kModelViolation,     ///< the algorithm broke the output contract
-  kFaultInjected,      ///< a fault plan in trap mode fired
   kCancelled,          ///< a CancellationToken (or its deadline) fired
   kEnvFault,           ///< the environment failed: I/O error or bad_alloc
   kContractViolation,  ///< a precondition or internal invariant failed
@@ -45,8 +42,7 @@ enum class RunStatus {
 
 struct GuardedRunOptions {
   RunBudget budget;
-  RunHooks* hooks = nullptr;  ///< e.g. a bound FaultPlan; not owned
-  bool check_output = true;   ///< verify the output is a maximal FM
+  bool check_output = true;  ///< verify the output is a maximal FM
   CancellationToken* cancel = nullptr;  ///< cooperative cancel; not owned
 };
 

@@ -104,9 +104,9 @@ class EcAlgorithm {
   /// materialisation entirely. Return nullopt to decline (the simulator then
   /// interprets as usual); decline in particular whenever interpretation
   /// would fail, so errors keep surfacing from the real execution path. The
-  /// simulator only consults this on unobserved runs (no hooks, no
-  /// diagnostics, no message/wall budgets) and enforces the round budget on
-  /// the returned count itself.
+  /// simulator only consults this on unobserved runs (no diagnostics, no
+  /// message/wall budgets) and enforces the round budget on the returned
+  /// count itself.
   [[nodiscard]] virtual std::optional<EcDirectRun> evaluate_direct(
       const Multigraph& g) const {
     (void)g;

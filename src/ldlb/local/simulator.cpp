@@ -89,9 +89,6 @@ void check_message_budget(const RunBudget& b, long long delivered,
 void RunDiagnostics::reset(NodeId nodes) {
   per_round.clear();
   halt_round.assign(static_cast<std::size_t>(nodes), -1);
-  crash_round.assign(static_cast<std::size_t>(nodes), -1);
-  dropped_messages = 0;
-  corrupted_messages = 0;
   first_violation.clear();
 }
 
@@ -102,13 +99,12 @@ RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
   LDLB_REQUIRE_MSG(g.has_proper_edge_coloring(),
                    "EC algorithms need a proper edge colouring");
   // Closed-form fast path: when nothing observes the round-by-round
-  // execution (no hooks, no diagnostics, no message or wall-clock budget —
-  // those are defined over interpreted traffic), an algorithm with a direct
+  // execution (no diagnostics, no message or wall-clock budget — those are
+  // defined over interpreted traffic), an algorithm with a direct
   // evaluator produces the identical RunResult without building node state
   // machines or materialising messages. The round budget still applies to
   // the evaluated round count, with the interpreter's exact error.
-  if (options.hooks == nullptr && options.diagnostics == nullptr &&
-      options.budget.max_messages <= 0 &&
+  if (options.diagnostics == nullptr && options.budget.max_messages <= 0 &&
       options.budget.max_wall_seconds <= 0) {
     if (std::optional<EcDirectRun> direct = alg.evaluate_direct(g)) {
       if (options.cancel) options.cancel->check();
@@ -134,18 +130,10 @@ RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
   // ldlb-analyze: allow(determinism): start-of-run timestamp for the wall
   // budget; only decides when BudgetExceeded fires.
   const auto t0 = Clock::now();
-  RunHooks* hooks = options.hooks;
   RunDiagnostics* diag = options.diagnostics;
   CancellationToken* cancel = options.cancel;
   if (diag) diag->reset(g.node_count());
-  // Per-node work fans out only when the algorithm declared itself
-  // thread-safe and any installed hooks declared themselves parallel-safe
-  // too. Stateful hooks (the default) see events in deterministic per-node
-  // order, which parallel execution would scramble; passive atomic hooks
-  // such as BudgetHooks opt in via RunHooks::parallel_safe().
-  const bool par = alg.parallel_safe() &&
-                   (hooks == nullptr || hooks->parallel_safe()) &&
-                   global_pool().size() > 1;
+  const bool par = alg.parallel_safe() && global_pool().size() > 1;
 
   std::vector<std::unique_ptr<EcNodeState>> nodes(
       static_cast<std::size_t>(g.node_count()));
@@ -160,7 +148,6 @@ RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
   });
 
   RunResult result;
-  std::vector<char> crashed(static_cast<std::size_t>(g.node_count()), 0);
   // halted() is a virtual call and the round loop consults it O(n) times per
   // round; cache it in a flags array instead. The flag is refreshed at every
   // point the bit can flip (construction, send, receive), so reading the
@@ -170,10 +157,8 @@ RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
     halted[static_cast<std::size_t>(v)] =
         nodes[static_cast<std::size_t>(v)]->halted() ? 1 : 0;
   }
-  // A node is out of the protocol once it halted or crash-stopped.
   auto done = [&](NodeId v) {
-    return crashed[static_cast<std::size_t>(v)] != 0 ||
-           halted[static_cast<std::size_t>(v)] != 0;
+    return halted[static_cast<std::size_t>(v)] != 0;
   };
   auto all_done = [&] {
     for (NodeId v = 0; v < g.node_count(); ++v) {
@@ -185,10 +170,7 @@ RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
     if (!diag) return;
     for (NodeId v = 0; v < g.node_count(); ++v) {
       auto& slot = diag->halt_round[static_cast<std::size_t>(v)];
-      if (slot < 0 && !crashed[static_cast<std::size_t>(v)] &&
-          halted[static_cast<std::size_t>(v)]) {
-        slot = round;
-      }
+      if (slot < 0 && halted[static_cast<std::size_t>(v)]) slot = round;
     }
   };
   record_halts(0);
@@ -199,28 +181,23 @@ RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
   // against this table in O(deg + |outbox|).
   struct IncidentEnd {
     Color color;
-    EdgeId edge;
     NodeId peer;
   };
-  std::vector<std::vector<IncidentEnd>> ends_by_color;
-  if (!hooks) {
-    ends_by_color.resize(static_cast<std::size_t>(g.node_count()));
-    for (EdgeId e = 0; e < g.edge_count(); ++e) {
-      const auto& ed = g.edge(e);
-      // A loop delivers once, from the node back to itself.
-      ends_by_color[static_cast<std::size_t>(ed.u)].push_back(
-          {ed.color, e, ed.v});
-      if (!ed.is_loop()) {
-        ends_by_color[static_cast<std::size_t>(ed.v)].push_back(
-            {ed.color, e, ed.u});
-      }
+  std::vector<std::vector<IncidentEnd>> ends_by_color(
+      static_cast<std::size_t>(g.node_count()));
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const auto& ed = g.edge(e);
+    // A loop delivers once, from the node back to itself.
+    ends_by_color[static_cast<std::size_t>(ed.u)].push_back({ed.color, ed.v});
+    if (!ed.is_loop()) {
+      ends_by_color[static_cast<std::size_t>(ed.v)].push_back({ed.color, ed.u});
     }
-    for (auto& ends : ends_by_color) {
-      std::sort(ends.begin(), ends.end(),
-                [](const IncidentEnd& a, const IncidentEnd& b) {
-                  return a.color < b.color;
-                });
-    }
+  }
+  for (auto& ends : ends_by_color) {
+    std::sort(ends.begin(), ends.end(),
+              [](const IncidentEnd& a, const IncidentEnd& b) {
+                return a.color < b.color;
+              });
   }
 
   int round = 0;
@@ -230,14 +207,6 @@ RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
     check_wall_budget(options.budget, t0, alg.name());
     if (cancel) cancel->check();
     int live = 0;
-    if (hooks) {
-      for (NodeId v = 0; v < g.node_count(); ++v) {
-        if (!done(v) && hooks->node_crashed(v, round)) {
-          crashed[static_cast<std::size_t>(v)] = 1;
-          if (diag) diag->crash_round[static_cast<std::size_t>(v)] = round;
-        }
-      }
-    }
     // A node's own send may flip its halted() bit, but each node's liveness
     // is sampled before its own send and nodes do not affect each other
     // inside a round, so this pre-count matches the serial interleaving.
@@ -249,78 +218,42 @@ RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
         static_cast<std::size_t>(g.node_count()));
     for_each_node(par, g.node_count(), cancel, [&](NodeId v) {
       if (done(v)) return;
-      auto& out = outbox[static_cast<std::size_t>(v)];
-      out = nodes[static_cast<std::size_t>(v)]->send(round);
-      if (hooks) hooks->on_send_ec(v, round, out);
+      outbox[static_cast<std::size_t>(v)] =
+          nodes[static_cast<std::size_t>(v)]->send(round);
       halted[static_cast<std::size_t>(v)] =
           nodes[static_cast<std::size_t>(v)]->halted() ? 1 : 0;
     });
     long long round_messages = 0, round_bytes = 0;
     std::vector<std::map<Color, Message>> inbox(
         static_cast<std::size_t>(g.node_count()));
-    if (!hooks) {
-      // Outbox-driven delivery: merge-join each node's (colour-sorted)
-      // outbox against its colour-sorted incident ends — O(messages + deg)
-      // per node instead of a scan over every edge per round. Delivery
-      // order differs from the edge scan, but each (node, colour) inbox
-      // slot receives at most one message (properness) and the per-round
-      // counters are order-independent sums, so the observable state is
-      // identical.
-      long long next_poll = kDeliveryPollStride;
-      for (NodeId v = 0; v < g.node_count(); ++v) {
-        if (round_messages >= next_poll) {
-          next_poll += kDeliveryPollStride;
-          if (cancel) cancel->check();
-          check_wall_budget(options.budget, t0, alg.name());
-        }
-        auto& out = outbox[static_cast<std::size_t>(v)];
-        if (out.empty()) continue;
-        const auto& ends = ends_by_color[static_cast<std::size_t>(v)];
-        auto it = out.begin();
-        for (const IncidentEnd& end : ends) {
-          // ldlb-analyze: allow(cancellation): bounded — advances an
-          // iterator strictly forward over one node's outbox.
-          while (it != out.end() && it->first < end.color) ++it;
-          if (it == out.end()) break;
-          if (it->first != end.color) continue;
-          round_bytes += static_cast<long long>(it->second.size());
-          ++round_messages;
-          inbox[static_cast<std::size_t>(end.peer)][end.color] =
-              std::move(it->second);
-          ++it;
-        }
+    // Outbox-driven delivery: merge-join each node's (colour-sorted)
+    // outbox against its colour-sorted incident ends — O(messages + deg)
+    // per node instead of a scan over every edge per round. Each
+    // (node, colour) inbox slot receives at most one message (properness)
+    // and the per-round counters are order-independent sums, so delivery
+    // order is unobservable.
+    long long next_poll = kDeliveryPollStride;
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      if (round_messages >= next_poll) {
+        next_poll += kDeliveryPollStride;
+        if (cancel) cancel->check();
+        check_wall_budget(options.budget, t0, alg.name());
       }
-    } else {
-      // Hooks observe one on_deliver event per edge end in edge order; keep
-      // the legacy scan so that event stream is unchanged.
-      long long next_poll = kDeliveryPollStride;
-      for (EdgeId e = 0; e < g.edge_count(); ++e) {
-        if (round_messages >= next_poll) {
-          next_poll += kDeliveryPollStride;
-          if (cancel) cancel->check();
-          check_wall_budget(options.budget, t0, alg.name());
-        }
-        const auto& ed = g.edge(e);
-        const Color c = ed.color;
-        auto deliver = [&](NodeId from, NodeId to) {
-          auto it = outbox[static_cast<std::size_t>(from)].find(c);
-          if (it == outbox[static_cast<std::size_t>(from)].end()) return;
-          Message payload = it->second;
-          if (!hooks->on_deliver(e, from, to, round, payload)) {
-            if (diag) ++diag->dropped_messages;
-            return;
-          }
-          if (diag && payload != it->second) ++diag->corrupted_messages;
-          round_bytes += static_cast<long long>(payload.size());
-          ++round_messages;
-          inbox[static_cast<std::size_t>(to)][c] = std::move(payload);
-        };
-        if (ed.is_loop()) {
-          deliver(ed.u, ed.u);
-        } else {
-          deliver(ed.u, ed.v);
-          deliver(ed.v, ed.u);
-        }
+      auto& out = outbox[static_cast<std::size_t>(v)];
+      if (out.empty()) continue;
+      const auto& ends = ends_by_color[static_cast<std::size_t>(v)];
+      auto it = out.begin();
+      for (const IncidentEnd& end : ends) {
+        // ldlb-analyze: allow(cancellation): bounded — advances an
+        // iterator strictly forward over one node's outbox.
+        while (it != out.end() && it->first < end.color) ++it;
+        if (it == out.end()) break;
+        if (it->first != end.color) continue;
+        round_bytes += static_cast<long long>(it->second.size());
+        ++round_messages;
+        inbox[static_cast<std::size_t>(end.peer)][end.color] =
+            std::move(it->second);
+        ++it;
       }
     }
     result.messages += round_messages;
@@ -342,9 +275,8 @@ RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
   std::vector<std::map<Color, Rational>> outputs(
       static_cast<std::size_t>(g.node_count()));
   for_each_node(par, g.node_count(), cancel, [&](NodeId v) {
-    auto& out = outputs[static_cast<std::size_t>(v)];
-    out = nodes[static_cast<std::size_t>(v)]->output();
-    if (hooks) hooks->on_output_ec(v, out);
+    outputs[static_cast<std::size_t>(v)] =
+        nodes[static_cast<std::size_t>(v)]->output();
   });
   result.matching = FractionalMatching(g.edge_count());
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
@@ -383,13 +315,10 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
                    "PO algorithms need a proper PO colouring");
   const int delta = g.max_degree();
   const auto t0 = Clock::now();
-  RunHooks* hooks = options.hooks;
   RunDiagnostics* diag = options.diagnostics;
   CancellationToken* cancel = options.cancel;
   if (diag) diag->reset(g.node_count());
-  const bool par = alg.parallel_safe() &&
-                   (hooks == nullptr || hooks->parallel_safe()) &&
-                   global_pool().size() > 1;
+  const bool par = alg.parallel_safe() && global_pool().size() > 1;
 
   std::vector<std::unique_ptr<PoNodeState>> nodes(
       static_cast<std::size_t>(g.node_count()));
@@ -404,7 +333,6 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
   });
 
   RunResult result;
-  std::vector<char> crashed(static_cast<std::size_t>(g.node_count()), 0);
   // Cached halted() bits, refreshed wherever the bit can flip — see run_ec.
   std::vector<char> halted(static_cast<std::size_t>(g.node_count()), 0);
   for (NodeId v = 0; v < g.node_count(); ++v) {
@@ -412,8 +340,7 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
         nodes[static_cast<std::size_t>(v)]->halted() ? 1 : 0;
   }
   auto done = [&](NodeId v) {
-    return crashed[static_cast<std::size_t>(v)] != 0 ||
-           halted[static_cast<std::size_t>(v)] != 0;
+    return halted[static_cast<std::size_t>(v)] != 0;
   };
   auto all_done = [&] {
     for (NodeId v = 0; v < g.node_count(); ++v) {
@@ -425,10 +352,7 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
     if (!diag) return;
     for (NodeId v = 0; v < g.node_count(); ++v) {
       auto& slot = diag->halt_round[static_cast<std::size_t>(v)];
-      if (slot < 0 && !crashed[static_cast<std::size_t>(v)] &&
-          halted[static_cast<std::size_t>(v)]) {
-        slot = round;
-      }
+      if (slot < 0 && halted[static_cast<std::size_t>(v)]) slot = round;
     }
   };
   record_halts(0);
@@ -440,14 +364,6 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
     check_wall_budget(options.budget, t0, alg.name());
     if (cancel) cancel->check();
     int live = 0;
-    if (hooks) {
-      for (NodeId v = 0; v < g.node_count(); ++v) {
-        if (!done(v) && hooks->node_crashed(v, round)) {
-          crashed[static_cast<std::size_t>(v)] = 1;
-          if (diag) diag->crash_round[static_cast<std::size_t>(v)] = round;
-        }
-      }
-    }
     for (NodeId v = 0; v < g.node_count(); ++v) {
       if (!done(v)) ++live;
     }
@@ -455,32 +371,23 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
         static_cast<std::size_t>(g.node_count()));
     for_each_node(par, g.node_count(), cancel, [&](NodeId v) {
       if (done(v)) return;
-      auto& out = outbox[static_cast<std::size_t>(v)];
-      out = nodes[static_cast<std::size_t>(v)]->send(round);
-      if (hooks) hooks->on_send_po(v, round, out);
+      outbox[static_cast<std::size_t>(v)] =
+          nodes[static_cast<std::size_t>(v)]->send(round);
       halted[static_cast<std::size_t>(v)] =
           nodes[static_cast<std::size_t>(v)]->halted() ? 1 : 0;
     });
     long long round_messages = 0, round_bytes = 0;
     std::vector<std::map<PoEnd, Message>> inbox(
         static_cast<std::size_t>(g.node_count()));
-    auto deliver = [&](EdgeId a, NodeId from, PoEnd from_end, NodeId to,
+    auto deliver = [&](NodeId from, PoEnd from_end, NodeId to,
                        PoEnd to_end) {
       auto it = outbox[static_cast<std::size_t>(from)].find(from_end);
       if (it == outbox[static_cast<std::size_t>(from)].end()) return;
       // PO-properness makes each (node, end) outbox entry single-consumer,
-      // mirroring the EC deliver fast path.
-      Message payload = hooks ? it->second : std::move(it->second);
-      if (hooks) {
-        if (!hooks->on_deliver(a, from, to, round, payload)) {
-          if (diag) ++diag->dropped_messages;
-          return;
-        }
-        if (diag && payload != it->second) ++diag->corrupted_messages;
-      }
-      round_bytes += static_cast<long long>(payload.size());
+      // so the payload moves, as in EC delivery.
+      round_bytes += static_cast<long long>(it->second.size());
       ++round_messages;
-      inbox[static_cast<std::size_t>(to)][to_end] = std::move(payload);
+      inbox[static_cast<std::size_t>(to)][to_end] = std::move(it->second);
     };
     long long next_poll = kDeliveryPollStride;
     for (EdgeId a = 0; a < g.arc_count(); ++a) {
@@ -493,8 +400,8 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
       const Color c = arc.color;
       // Tail's outgoing end pairs with head's incoming end (also for loops,
       // where both ends sit on the same node).
-      deliver(a, arc.tail, {true, c}, arc.head, {false, c});
-      deliver(a, arc.head, {false, c}, arc.tail, {true, c});
+      deliver(arc.tail, {true, c}, arc.head, {false, c});
+      deliver(arc.head, {false, c}, arc.tail, {true, c});
     }
     result.messages += round_messages;
     result.message_bytes += round_bytes;
@@ -514,9 +421,8 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
   std::vector<std::map<PoEnd, Rational>> outputs(
       static_cast<std::size_t>(g.node_count()));
   for_each_node(par, g.node_count(), cancel, [&](NodeId v) {
-    auto& out = outputs[static_cast<std::size_t>(v)];
-    out = nodes[static_cast<std::size_t>(v)]->output();
-    if (hooks) hooks->on_output_po(v, out);
+    outputs[static_cast<std::size_t>(v)] =
+        nodes[static_cast<std::size_t>(v)]->output();
   });
   result.matching = FractionalMatching(g.arc_count());
   for (EdgeId a = 0; a < g.arc_count(); ++a) {

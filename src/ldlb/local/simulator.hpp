@@ -18,14 +18,13 @@
 //   ModelViolation   an end had no announced weight, or the two ends of an
 //                    edge announced different weights
 //
-// both deriving from ldlb::Error (util/error.hpp). Optional RunHooks
-// (hooks.hpp) let a fault plan interfere with the run; optional
-// RunDiagnostics collect per-round histograms and a halting profile even
-// when the run dies mid-flight.
+// both deriving from ldlb::Error (util/error.hpp). The executor runs the
+// paper's reliable model only: no node crashes and every message arrives
+// intact. Optional RunDiagnostics collect per-round histograms and a
+// halting profile even when the run dies mid-flight.
 #pragma once
 
 #include "ldlb/local/algorithm.hpp"
-#include "ldlb/local/hooks.hpp"
 #include "ldlb/matching/fractional_matching.hpp"
 #include "ldlb/util/cancellation.hpp"
 
@@ -43,7 +42,7 @@ struct RunBudget {
 struct RoundStats {
   long long messages = 0;   ///< messages delivered this round
   long long bytes = 0;      ///< payload bytes delivered this round
-  int live_nodes = 0;       ///< nodes that were neither halted nor crashed
+  int live_nodes = 0;       ///< nodes that had not halted
 };
 
 /// Structured trace of a run, filled incrementally so it survives a typed
@@ -52,20 +51,15 @@ struct RunDiagnostics {
   std::vector<RoundStats> per_round;  ///< index r-1 holds round r
   std::vector<int> halt_round;   ///< per node: round after which it halted
                                  ///< (0 = before round 1, -1 = never)
-  std::vector<int> crash_round;  ///< per node: round it crash-stopped, -1 if
-                                 ///< it never crashed
-  long long dropped_messages = 0;    ///< deliveries suppressed by hooks
-  long long corrupted_messages = 0;  ///< payloads mutated in flight by hooks
   std::string first_violation;  ///< what() of the error that ended the run
                                 ///< ("" for a clean run); set by guarded_run
 
   void reset(NodeId nodes);
 };
 
-/// How to execute a run: budgets, optional interference, optional tracing.
+/// How to execute a run: budgets, optional tracing, optional cancellation.
 struct RunOptions {
   RunBudget budget;
-  RunHooks* hooks = nullptr;             ///< not owned; may be null
   RunDiagnostics* diagnostics = nullptr;  ///< not owned; may be null
   /// Cooperative cancellation (not owned; may be null). The executor polls
   /// the token at every round boundary, between parallel chunks, and every

@@ -44,15 +44,6 @@ CertificateLevel supervised_level(const RetryPolicy& policy, int base_rounds,
         log.exhausted = true;
         throw;
       }
-    } catch (const FaultInjected& e) {
-      record.status = RunStatus::kFaultInjected;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      if (!policy.retry_fault_injected) throw;
-      if (attempt >= policy.max_attempts) {
-        log.exhausted = true;
-        throw;
-      }
     } catch (const Cancelled& e) {
       // Cancellation is a request to stop, never a failure to retry.
       record.status = RunStatus::kCancelled;
@@ -172,8 +163,7 @@ std::function<void(const CertificateLevel&)> crash_at_level(int level) {
     if (lv.level != level) return;
     std::ostringstream os;
     os << "injected crash-stop after checkpointing level " << level;
-    throw FaultInjected(os.str(), "crash-stop", /*node=*/-1, /*edge=*/-1,
-                        /*round=*/level);
+    throw FaultInjected(os.str());
   };
 }
 

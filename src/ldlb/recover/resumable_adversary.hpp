@@ -72,9 +72,9 @@ LowerBoundCertificate run_adversary_resumable(EcAlgorithm& algorithm,
                                               const ResumeOptions& options = {},
                                               ResumeInfo* info = nullptr);
 
-/// Checkpoint hook that throws FaultInjected (fault class "crash-stop")
-/// right after level `level` is durably stored — the fault layer's way of
-/// simulating a process crash for the kill-and-resume tests and demos.
+/// Checkpoint hook that throws FaultInjected right after level `level` is
+/// durably stored — a simulated process crash for the kill-and-resume tests
+/// and demos.
 [[nodiscard]] std::function<void(const CertificateLevel&)> crash_at_level(
     int level);
 

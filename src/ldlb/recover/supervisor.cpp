@@ -10,8 +10,6 @@ bool RetryPolicy::transient(RunStatus status, int io_errno) const {
   switch (status) {
     case RunStatus::kBudgetExceeded:
       return true;
-    case RunStatus::kFaultInjected:
-      return retry_fault_injected;
     case RunStatus::kEnvFault:
       // A full disk can drain, an interrupted call can be re-issued; a
       // hardware-level EIO (or an unattributed failure) will not improve.

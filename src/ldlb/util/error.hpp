@@ -14,8 +14,8 @@
 //   │                       contract (missing or disagreeing announcements)
 //   ├── BudgetExceeded      a guarded run overran its round / message /
 //   │                       wall-clock budget
-//   ├── FaultInjected       a fault plan fired in trap mode (pinpoints the
-//   │                       first injected fault site)
+//   ├── FaultInjected       a simulated process crash (crash_at_level in
+//   │                       recover/resumable_adversary.hpp)
 //   └── Cancelled           a CancellationToken (util/cancellation.hpp) was
 //                           polled after cancellation / deadline expiry
 //
@@ -139,29 +139,12 @@ class BudgetExceeded : public Error {
   long long used_;
 };
 
-/// Thrown by a fault plan running in trap mode: identifies the first
-/// injected fault instead of letting it silently corrupt the run.
+/// Thrown by crash_at_level (recover/resumable_adversary.hpp) to simulate
+/// a process crash right after a checkpoint, for the kill-and-resume tests
+/// and demos.
 class FaultInjected : public Error {
  public:
-  FaultInjected(const std::string& what, std::string fault_class,
-                std::int64_t node = -1, std::int64_t edge = -1, int round = 0)
-      : Error(what),
-        fault_class_(std::move(fault_class)),
-        node_(node),
-        edge_(edge),
-        round_(round) {}
-
-  /// Name of the fault class that fired (see fault/fault_plan.hpp).
-  [[nodiscard]] const std::string& fault_class() const { return fault_class_; }
-  [[nodiscard]] std::int64_t node() const { return node_; }
-  [[nodiscard]] std::int64_t edge() const { return edge_; }
-  [[nodiscard]] int round() const { return round_; }
-
- private:
-  std::string fault_class_;
-  std::int64_t node_;
-  std::int64_t edge_;
-  int round_;
+  explicit FaultInjected(const std::string& what) : Error(what) {}
 };
 
 namespace detail {

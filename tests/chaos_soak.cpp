@@ -15,10 +15,10 @@
 //              rewrite, renames);
 //   torn-tail  a completed log truncated at a random byte, then resume
 //              from the salvaged prefix;
-//   guarded    a deadline-expired / budget-capped / allocation-starved
-//              guarded run must classify (kCancelled / kBudgetExceeded /
-//              kEnvFault) without a certificate, then a clean resumable
-//              run from scratch;
+//   guarded    a deadline-expired / round-budget-capped /
+//              allocation-starved guarded run must classify (kCancelled /
+//              kBudgetExceeded / kEnvFault) without a certificate, then a
+//              clean resumable run from scratch;
 //   certlog-kill a child process checkpointing into the certificate log
 //              is SIGKILLed from its own checkpoint hook, the survivor log
 //              is additionally torn mid-record, and the reopen must
@@ -42,7 +42,6 @@
 
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/core/certificate_io.hpp"
-#include "ldlb/fault/budget_hooks.hpp"
 #include "ldlb/fault/env_fault.hpp"
 #include "ldlb/fault/guarded_run.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
@@ -215,13 +214,10 @@ int main() {
               outcome = guarded_run_adversary(alg, delta, opts);
               break;
             }
-            case 1: {  // cumulative message cap of 1
+            case 1: {  // per-run round budget of 1
               expected = RunStatus::kBudgetExceeded;
-              BudgetHooks::Limits limits;
-              limits.max_total_messages = 1;
-              BudgetHooks hooks{limits};
               AdversaryOptions opts;
-              opts.hooks = &hooks;
+              opts.max_rounds = 1;
               outcome = guarded_run_adversary(alg, delta, opts);
               break;
             }

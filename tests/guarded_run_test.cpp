@@ -91,7 +91,6 @@ TEST(GuardedRun, CleanRunPassesWithDiagnostics) {
   ASSERT_EQ(outcome.diagnostics.per_round.size(),
             static_cast<std::size_t>(outcome.run->rounds));
   EXPECT_EQ(outcome.diagnostics.per_round[0].live_nodes, 6);
-  for (int r : outcome.diagnostics.crash_round) EXPECT_EQ(r, -1);
   for (int r : outcome.diagnostics.halt_round) EXPECT_GT(r, 0);
   EXPECT_TRUE(outcome.diagnostics.first_violation.empty());
 }
@@ -196,7 +195,7 @@ TEST(GuardedRun, RunStatusToStringCoversEveryValueDistinctly) {
   // demos all key on these strings.
   const RunStatus all[] = {
       RunStatus::kOk, RunStatus::kBudgetExceeded, RunStatus::kModelViolation,
-      RunStatus::kFaultInjected, RunStatus::kContractViolation,
+      RunStatus::kContractViolation,
   };
   std::set<std::string> seen;
   for (RunStatus status : all) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -534,6 +535,15 @@ void expect_clean_prefix(const LowerBoundCertificate& loaded,
   }
 }
 
+// Plants a damaged log case. A plain, non-durable write: the sweeps below
+// rewrite the file once per byte, and only the repair under test
+// (checkpoint()) needs to be durable.
+void spill(const std::string& path, const std::string& bytes) {
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out << bytes;
+  ASSERT_TRUE(out.good());
+}
+
 struct CertLogFixture {
   LowerBoundCertificate chain;
   std::string full;   // clean serialized log
@@ -565,7 +575,7 @@ TEST(IoFuzz, CertLogEveryByteFlipLandsInTheTaxonomy) {
   for (std::size_t at = 0; at < f.full.size(); ++at) {
     std::string text = f.full;
     text[at] = static_cast<char>(text[at] ^ 0x01);  // guaranteed change
-    write_file_atomic(f.path, text);
+    spill(f.path, text);
     const CertLogReport report = log.scan();
     EXPECT_NE(report.damage, LogDamage::kNone) << "flip at byte " << at;
     CertLogReport recovery;
@@ -586,7 +596,7 @@ TEST(IoFuzz, CertLogEveryTruncationPointIsTornOrClean) {
   CertLogFixture f = make_cert_log_fixture("io_log_trunc.log");
   CertificateLog log{f.path};
   for (std::size_t cut = 0; cut <= f.full.size(); ++cut) {
-    write_file_atomic(f.path, f.full.substr(0, cut));
+    spill(f.path, f.full.substr(0, cut));
     const CertLogReport report = log.scan();
     EXPECT_TRUE(report.recoverable()) << "cut at byte " << cut;
     const bool boundary =
@@ -598,7 +608,7 @@ TEST(IoFuzz, CertLogEveryTruncationPointIsTornOrClean) {
       // Torn-tail repair: truncate to the valid prefix, append the rest.
       log.checkpoint(f.chain);
       EXPECT_EQ(read_file(f.path), f.full) << "cut at byte " << cut;
-      write_file_atomic(f.path, f.full.substr(0, cut));  // re-tear
+      spill(f.path, f.full.substr(0, cut));  // re-tear
     }
   }
   log.remove();
@@ -622,7 +632,7 @@ TEST(IoFuzz, CertLogSplicedRecordsAreChainBreaks) {
     for (std::size_t i = 0; i <= k; ++i) text += record(i);
     text += record(k);  // the duplicate
     for (std::size_t i = k + 1; i < n; ++i) text += record(i);
-    write_file_atomic(f.path, text);
+    spill(f.path, text);
     const CertLogReport report = log.scan();
     EXPECT_EQ(report.damage, LogDamage::kChainBreak);
     EXPECT_EQ(report.defect_level, static_cast<int>(k + 1));
@@ -637,7 +647,7 @@ TEST(IoFuzz, CertLogSplicedRecordsAreChainBreaks) {
       const std::size_t j = (i == k) ? k + 1 : (i == k + 1) ? k : i;
       text += record(j);
     }
-    write_file_atomic(f.path, text);
+    spill(f.path, text);
     const CertLogReport report = log.scan();
     EXPECT_EQ(report.damage, LogDamage::kChainBreak);
     EXPECT_EQ(report.defect_level, static_cast<int>(k));
@@ -661,7 +671,7 @@ TEST(IoFuzz, CertLogForeignRecordIsAChainBreak) {
   // chain checksum no longer verifies.
   const std::string text =
       foreign.substr(0, foreign_body) + f.full.substr(f.offsets[0]);
-  write_file_atomic(f.path, text);
+  spill(f.path, text);
   CertificateLog log{f.path};
   const CertLogReport report = log.scan();
   EXPECT_EQ(report.damage, LogDamage::kChainBreak);

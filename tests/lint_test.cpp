@@ -132,13 +132,13 @@ TEST(LintRules, RawSocketHasNoExemptFile) {
   const std::string source = "int fd = socket(AF_INET, SOCK_STREAM, 0);\n";
   EXPECT_EQ(lint_core_snippet("src/ldlb/util/net.cpp", source).size(), 1u);
   EXPECT_EQ(lint_core_snippet("src/ldlb/fault/x.cpp", source).size(), 1u);
-  // Wrapper names containing the tokens are not raw calls, and the project
-  // method FaultPlan::bind() is not the bind(2) syscall — only a
+  // Wrapper names containing the tokens are not raw calls, and a project
+  // method such as Registry::bind() is not the bind(2) syscall — only a
   // ::-qualified bind counts.
   EXPECT_TRUE(lint_core_snippet("src/ldlb/fault/x.cpp",
                                 "auto c = net::connect_channel(h, p);\n"
                                 "plan.on_connect(h, p);\n"
-                                "void FaultPlan::bind(const Multigraph& g);\n")
+                                "void Registry::bind(const Multigraph& g);\n")
                   .empty());
   EXPECT_EQ(lint_core_snippet("src/ldlb/fault/x.cpp",
                               "  ::bind(fd, addr, len);\n")

@@ -14,7 +14,6 @@
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/core/base_case.hpp"
 #include "ldlb/core/certificate_io.hpp"
-#include "ldlb/fault/budget_hooks.hpp"
 #include "ldlb/fault/guarded_run.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/matching/two_phase_packing.hpp"
@@ -258,25 +257,40 @@ TEST(ParallelDeterminism, NonSaturatingAlgorithmRejectedOnAnyThreadCount) {
   }
 }
 
-// The lifted gate: BudgetHooks declares parallel_safe(), so installing it
-// must keep the parallel fan-out *and* the byte-identity contract. Before
-// this gate existed, any hooks forced the serial path.
-TEST(ParallelDeterminism, BudgetHooksKeepCertificatesByteIdentical) {
-  const int delta = 6;
-  const std::string bare = run_and_serialize(delta, 1);
-  for (int threads : {1, 2, 8}) {
-    PoolOverride pool(threads);
-    clear_ball_encoding_cache();
-    SeqColorPacking alg{delta};
-    BudgetHooks hooks({.max_total_messages = 0, .deadline = {}});  // enforce, never trip
-    AdversaryOptions opts;
-    opts.hooks = &hooks;
-    opts.verify_p2 = true;
-    EXPECT_EQ(bare, certificate_bytes(run_adversary(alg, delta, opts)))
-        << "threads=" << threads;
-    EXPECT_GT(hooks.total_messages(), 0) << "threads=" << threads;
+// Thread-safe subject that fails only inside adversary step 1: its first
+// two make_node calls (the base case's two one-node runs) delegate to
+// SeqColorPacking, every later node never halts. Every step-1 branch, GH,
+// GG and HH alike, therefore trips the round budget, so speculation runs
+// three failing branches concurrently while the serial path fails on GH.
+class HaltsOnlyInBaseCase : public EcAlgorithm {
+ public:
+  explicit HaltsOnlyInBaseCase(int delta) : base_(delta) {}
+
+  class Spinner : public EcNodeState {
+   public:
+    std::map<Color, Message> send(int) override { return {}; }
+    void receive(int, const std::map<Color, Message>&) override {}
+    [[nodiscard]] bool halted() const override { return false; }
+    [[nodiscard]] std::map<Color, Rational> output() const override {
+      return {};
+    }
+  };
+
+  std::unique_ptr<EcNodeState> make_node(const EcNodeContext& ctx) override {
+    if (made_.fetch_add(1) < 2) return base_.make_node(ctx);
+    return std::make_unique<Spinner>();
   }
-}
+  [[nodiscard]] std::string name() const override {
+    return "HaltsOnlyInBaseCase";
+  }
+  [[nodiscard]] bool parallel_safe() const override { return true; }
+
+  [[nodiscard]] int made() const { return made_.load(); }
+
+ private:
+  SeqColorPacking base_;
+  std::atomic<int> made_{0};
+};
 
 TEST(ParallelDeterminism, TrippedBudgetClassifiesIdenticallyAcrossThreads) {
   const int delta = 6;
@@ -284,37 +298,23 @@ TEST(ParallelDeterminism, TrippedBudgetClassifiesIdenticallyAcrossThreads) {
   for (int threads : {1, 2, 8}) {
     PoolOverride pool(threads);
     clear_ball_encoding_cache();
-    SeqColorPacking alg{delta};
-    // A 1-message cumulative cap trips on the first delivery of the first
-    // adversary step, in every schedule; under speculation each branch
-    // crosses the already-exceeded cap on its own next delivery, and the
-    // deterministic lowest-index rethrow surfaces the GH branch's error.
-    BudgetHooks hooks({.max_total_messages = 1, .deadline = {}});
-    AdversaryOptions opts;
-    opts.hooks = &hooks;
-    GuardedOutcome outcome = guarded_run_adversary(alg, delta, opts);
+    HaltsOnlyInBaseCase alg{delta};
+    GuardedOutcome outcome = guarded_run_adversary(alg, delta);
     EXPECT_EQ(outcome.status, RunStatus::kBudgetExceeded)
         << "threads=" << threads;
     EXPECT_FALSE(outcome.certificate.has_value());
+    // The trip happened inside the step, not in the base case.
+    EXPECT_GT(alg.made(), 2) << "threads=" << threads;
     if (threads == 1) {
       serial_error = outcome.error;
-      EXPECT_NE(serial_error.find("cumulative message budget"),
-                std::string::npos);
+      EXPECT_EQ(serial_error,
+                "algorithm 'HaltsOnlyInBaseCase' exceeded " +
+                    std::to_string(adversary_round_budget(delta, {})) +
+                    " rounds");
     } else {
       EXPECT_EQ(outcome.error, serial_error) << "threads=" << threads;
     }
   }
-}
-
-TEST(ParallelDeterminism, BudgetHooksDeadlineCancelsRun) {
-  PoolOverride pool(2);
-  SeqColorPacking alg{8};
-  BudgetHooks hooks({.max_total_messages = 0,
-                     .deadline = Deadline::in(0.0)});  // already expired
-  AdversaryOptions opts;
-  opts.hooks = &hooks;
-  GuardedOutcome outcome = guarded_run_adversary(alg, 8, opts);
-  EXPECT_EQ(outcome.status, RunStatus::kCancelled);
 }
 
 }  // namespace

@@ -123,10 +123,7 @@ TEST(Simulator, CollectsDiagnostics) {
   EXPECT_EQ(diag.per_round[0].live_nodes, 5);
   for (NodeId v = 0; v < g.node_count(); ++v) {
     EXPECT_EQ(diag.halt_round[static_cast<std::size_t>(v)], 2);
-    EXPECT_EQ(diag.crash_round[static_cast<std::size_t>(v)], -1);
   }
-  EXPECT_EQ(diag.dropped_messages, 0);
-  EXPECT_EQ(diag.corrupted_messages, 0);
 }
 
 TEST(Simulator, DeliversAcrossEdges) {
@@ -273,6 +270,69 @@ TEST(Simulator, PoDirectedLoopFeedsBothEnds) {
   EXPECT_EQ(alg.transcripts[0].received[0].at(PoEnd{false, 1}), "out1@1");
   EXPECT_EQ(alg.transcripts[0].received[0].at(PoEnd{true, 1}), "in1@1");
   EXPECT_EQ(r.messages, 2);
+}
+
+// PO counterpart of InconsistentOutput: the second node built (the head of
+// the test arc) announces a different weight, or no weight at all, on its
+// incoming ends.
+class PoInconsistentOutput : public PoAlgorithm {
+ public:
+  enum class Fault { kDisagree, kOmit };
+  explicit PoInconsistentOutput(Fault fault) : fault_(fault) {}
+
+  class Node : public PoNodeState {
+   public:
+    Node(PoNodeContext ctx, bool faulty, Fault fault)
+        : ctx_(std::move(ctx)), faulty_(faulty), fault_(fault) {}
+    std::map<PoEnd, Message> send(int) override { return {}; }
+    void receive(int, const std::map<PoEnd, Message>&) override {
+      done_ = true;
+    }
+    [[nodiscard]] bool halted() const override { return done_; }
+    [[nodiscard]] std::map<PoEnd, Rational> output() const override {
+      std::map<PoEnd, Rational> out;
+      for (Color c : ctx_.out_colors) out[{true, c}] = Rational(0);
+      if (faulty_ && fault_ == Fault::kOmit) return out;
+      for (Color c : ctx_.in_colors) {
+        out[{false, c}] = faulty_ ? Rational(1) : Rational(0);
+      }
+      return out;
+    }
+
+   private:
+    PoNodeContext ctx_;
+    bool faulty_;
+    Fault fault_;
+    bool done_ = false;
+  };
+  std::unique_ptr<PoNodeState> make_node(const PoNodeContext& ctx) override {
+    return std::make_unique<Node>(ctx, (count_++ % 2) == 1, fault_);
+  }
+  [[nodiscard]] std::string name() const override { return "PoInconsistent"; }
+
+ private:
+  Fault fault_;
+  int count_ = 0;
+};
+
+// what() of the ModelViolation run_po raises on the arc 0 -> 1, colour 0.
+std::string po_violation(PoInconsistentOutput::Fault fault) {
+  Digraph g(2);
+  g.add_arc(0, 1, 0);
+  PoInconsistentOutput alg{fault};
+  try {
+    run_po(g, alg, 10);
+  } catch (const ModelViolation& e) {
+    return e.what();
+  }
+  return "no ModelViolation";
+}
+
+TEST(Simulator, PoRejectsInconsistentArcOutputs) {
+  EXPECT_EQ(po_violation(PoInconsistentOutput::Fault::kDisagree),
+            "ends of arc 0 disagree: 0 vs 1 (algorithm 'PoInconsistent')");
+  EXPECT_EQ(po_violation(PoInconsistentOutput::Fault::kOmit),
+            "node 1 announced no weight for its incoming colour-0 end");
 }
 
 }  // namespace

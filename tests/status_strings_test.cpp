@@ -21,9 +21,8 @@ namespace {
 // here too or the switches below stop compiling.
 constexpr RunStatus kAllRunStatuses[] = {
     RunStatus::kOk,           RunStatus::kBudgetExceeded,
-    RunStatus::kModelViolation, RunStatus::kFaultInjected,
-    RunStatus::kCancelled,    RunStatus::kEnvFault,
-    RunStatus::kContractViolation,
+    RunStatus::kModelViolation, RunStatus::kCancelled,
+    RunStatus::kEnvFault,     RunStatus::kContractViolation,
 };
 
 constexpr FsOp kAllFsOps[] = {FsOp::kWrite,    FsOp::kFsync,
@@ -41,8 +40,6 @@ const char* expected_name(RunStatus status) {
       return "budget-exceeded";
     case RunStatus::kModelViolation:
       return "model-violation";
-    case RunStatus::kFaultInjected:
-      return "fault-injected";
     case RunStatus::kCancelled:
       return "cancelled";
     case RunStatus::kEnvFault:

@@ -86,9 +86,6 @@ TEST(RetryPolicy, ClassifiesTransientVsPermanent) {
   EXPECT_FALSE(policy.transient(RunStatus::kOk));
   EXPECT_FALSE(policy.transient(RunStatus::kModelViolation));
   EXPECT_FALSE(policy.transient(RunStatus::kContractViolation));
-  EXPECT_FALSE(policy.transient(RunStatus::kFaultInjected));
-  policy.retry_fault_injected = true;  // flaky black-box opt-in
-  EXPECT_TRUE(policy.transient(RunStatus::kFaultInjected));
 }
 
 TEST(RetryPolicy, EscalatesEveryFiniteBudget) {

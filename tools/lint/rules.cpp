@@ -42,8 +42,8 @@ struct Rule {
 
 const std::vector<std::string> kProofLayers = {"core/",  "view/",     "cover/",
                                                "order/", "matching/", "graph/"};
-const std::vector<std::string> kSyncUtilities = {
-    "util/thread_pool.", "util/cancellation.", "fault/budget_hooks."};
+const std::vector<std::string> kSyncUtilities = {"util/thread_pool.",
+                                                  "util/cancellation."};
 
 std::vector<Rule> build_rules() {
   auto pat = [](const char* re, const char* token) {
@@ -97,7 +97,7 @@ std::vector<Rule> build_rules() {
     Pattern wall_clock = pat(R"(\bsystem_clock\b)", "system_clock");
     Pattern mono_clock = pat(R"(\bsteady_clock\b|\bhigh_resolution_clock\b)",
                              "monotonic clock");
-    mono_clock.excludes = {"util/cancellation.", "fault/budget_hooks."};
+    mono_clock.excludes = {"util/cancellation."};
     r.patterns = {rand_like, random_device, mt,        time_call,
                   ptr_keyed, wall_clock,    mono_clock};
     rules.push_back(std::move(r));
@@ -108,8 +108,8 @@ std::vector<Rule> build_rules() {
     r.name = "raw-sync";
     r.prefix = "raw concurrency primitive ";
     r.suffix =
-        " outside util/thread_pool, util/cancellation, fault/budget_hooks; "
-        "use the pool, or annotate why the site is schedule-safe";
+        " outside util/thread_pool, util/cancellation; use the pool, or "
+        "annotate why the site is schedule-safe";
     Pattern mutex = pat(R"(std::(recursive_|shared_|timed_)?mutex\b)",
                         "std::mutex");
     mutex.not_after_lt = true;  // the declaration, not each lock_guard use
@@ -166,7 +166,7 @@ std::vector<Rule> build_rules() {
         "open, connect or configure a socket";
     r.patterns = {
         pat(R"(\bsocket\s*\()", "socket("),
-        // FaultPlan::bind() is a project method, so the syscall must be
+        // A project method may be called bind(), so the syscall must be
         // ::-qualified to count.
         pat(R"((^|[^\w])::bind\s*\()", "bind("),
         pat(R"(\blisten\s*\()", "listen("),
