@@ -121,8 +121,8 @@ CertificateLevel combine_adversary_step(int delta,
                                         const AdversaryOptions& options = {});
 
 /// The round budget an adversary run at `delta` grants each simulation:
-/// options.max_rounds, or the 16·(Δ+2)² default. Exposed so out-of-process
-/// executors budget their runs identically to in-process ones.
+/// options.max_rounds, or the 16·(Δ+2)² default. Exposed so the resumable
+/// adversary budgets its base case identically to run_adversary.
 int adversary_round_budget(int delta, const AdversaryOptions& options);
 
 }  // namespace ldlb

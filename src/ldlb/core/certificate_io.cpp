@@ -89,6 +89,8 @@ LowerBoundCertificate read_certificate_body(LineReader& r) {
   cert.delta = static_cast<int>(r.integer("delta", 0, kMaxId));
   r.expect("algorithm", "algorithm line");
   cert.algorithm_name = r.token("algorithm name");
+  // ldlb-analyze: allow(cancellation): bounded by the input — every pass
+  // consumes at least one token, and end of input throws ParseError.
   for (;;) {
     const std::string_view word = r.token("'level' or 'end'");
     if (word == "end") break;

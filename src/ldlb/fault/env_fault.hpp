@@ -17,8 +17,8 @@
 // Allocation failure is injected separately through
 // util/alloc_guard.hpp's thread-local byte budget (ScopedAllocBudget):
 // charge sites in the BigInt and ball-encoding-cache paths throw
-// std::bad_alloc once the budget is exhausted, which the guarded layer
-// classifies as RunStatus::kEnvFault.
+// std::bad_alloc once the budget is exhausted, and that throw reaches the
+// caller unchanged.
 #pragma once
 
 #include <atomic>
@@ -99,9 +99,9 @@ class EnvFaultPlan : public FsFaultInjector {
   // The injector must stay installable while the thread pool runs, so its
   // state is lock-free: flags are release/acquire monotonic latches and the
   // occurrence counters are fetch_add'd. Which concrete filesystem call
-  // trips the fault may vary with schedule, but the *classification*
-  // (RunStatus::kEnvFault) and the resumed certificate bytes never do —
-  // env_fault_test pins that across the 9-point fault sweep.
+  // trips the fault may vary with schedule, but the typed failure (an
+  // IoError) and the resumed certificate bytes never do — env_fault_test
+  // pins that across the 9-point fault sweep.
   //
   // ldlb-lint: allow(raw-sync): lock-free arm/fire latch, see block comment.
   std::atomic<bool> armed_{false};

@@ -1,7 +1,6 @@
 #include "ldlb/local/simulator.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "ldlb/util/thread_pool.hpp"
 
@@ -29,58 +28,18 @@ void for_each_node(bool parallel, NodeId n, CancellationToken* cancel,
   }
 }
 
-// Messages to deliver between cancellation / wall-budget polls inside one
-// round's delivery loop: coarse enough to be free, fine enough that a
-// cancel lands mid-round on dense instances.
+// Messages to deliver between cancellation polls inside one round's
+// delivery loop: coarse enough to be free, fine enough that a cancel lands
+// mid-round on dense instances.
 constexpr long long kDeliveryPollStride = 4096;
 
-// ldlb-lint: allow(nondeterminism): wall-clock *budget* enforcement only —
-// a monotonic clock that decides when BudgetExceeded fires, never what any
-// node computes; certificate bytes are clock-independent.
-using Clock = std::chrono::steady_clock;
-
-long long elapsed_us(Clock::time_point t0) {
-  // ldlb-analyze: allow(determinism): wall-budget accounting; overruns
-  // abort via BudgetExceeded, certificate bytes are clock-independent.
-  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                               t0)
-      .count();
-}
-
-// Budget checks shared by both executors.
+// Round-budget check shared by both executors.
 void check_round_budget(const RunBudget& b, int round,
                         const std::string& algo) {
   if (round > b.max_rounds) {
     std::ostringstream os;
     os << "algorithm '" << algo << "' exceeded " << b.max_rounds << " rounds";
-    throw BudgetExceeded(os.str(), BudgetExceeded::Kind::kRounds,
-                         b.max_rounds, round);
-  }
-}
-
-void check_wall_budget(const RunBudget& b, Clock::time_point t0,
-                       const std::string& algo) {
-  if (b.max_wall_seconds <= 0) return;
-  const long long used = elapsed_us(t0);
-  const long long limit =
-      static_cast<long long>(b.max_wall_seconds * 1e6);
-  if (used > limit) {
-    std::ostringstream os;
-    os << "algorithm '" << algo << "' exceeded the wall-clock budget of "
-       << b.max_wall_seconds << "s";
-    throw BudgetExceeded(os.str(), BudgetExceeded::Kind::kWallClock, limit,
-                         used);
-  }
-}
-
-void check_message_budget(const RunBudget& b, long long delivered,
-                          const std::string& algo) {
-  if (b.max_messages > 0 && delivered > b.max_messages) {
-    std::ostringstream os;
-    os << "algorithm '" << algo << "' exceeded the message budget of "
-       << b.max_messages;
-    throw BudgetExceeded(os.str(), BudgetExceeded::Kind::kMessages,
-                         b.max_messages, delivered);
+    throw BudgetExceeded(os.str(), b.max_rounds, round);
   }
 }
 
@@ -89,7 +48,6 @@ void check_message_budget(const RunBudget& b, long long delivered,
 void RunDiagnostics::reset(NodeId nodes) {
   per_round.clear();
   halt_round.assign(static_cast<std::size_t>(nodes), -1);
-  first_violation.clear();
 }
 
 RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
@@ -99,13 +57,11 @@ RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
   LDLB_REQUIRE_MSG(g.has_proper_edge_coloring(),
                    "EC algorithms need a proper edge colouring");
   // Closed-form fast path: when nothing observes the round-by-round
-  // execution (no diagnostics, no message or wall-clock budget — those are
-  // defined over interpreted traffic), an algorithm with a direct
-  // evaluator produces the identical RunResult without building node state
-  // machines or materialising messages. The round budget still applies to
-  // the evaluated round count, with the interpreter's exact error.
-  if (options.diagnostics == nullptr && options.budget.max_messages <= 0 &&
-      options.budget.max_wall_seconds <= 0) {
+  // execution (no diagnostics sink), an algorithm with a direct evaluator
+  // produces the identical RunResult without building node state machines
+  // or materialising messages. The round budget still applies to the
+  // evaluated round count, with the interpreter's exact error.
+  if (options.diagnostics == nullptr) {
     if (std::optional<EcDirectRun> direct = alg.evaluate_direct(g)) {
       if (options.cancel) options.cancel->check();
       // The interpreter only notices the overrun when it *enters* round
@@ -127,9 +83,6 @@ RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
     }
   }
   const int delta = g.max_degree();
-  // ldlb-analyze: allow(determinism): start-of-run timestamp for the wall
-  // budget; only decides when BudgetExceeded fires.
-  const auto t0 = Clock::now();
   RunDiagnostics* diag = options.diagnostics;
   CancellationToken* cancel = options.cancel;
   if (diag) diag->reset(g.node_count());
@@ -204,7 +157,6 @@ RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
   while (!all_done()) {
     ++round;
     check_round_budget(options.budget, round, alg.name());
-    check_wall_budget(options.budget, t0, alg.name());
     if (cancel) cancel->check();
     int live = 0;
     // A node's own send may flip its halted() bit, but each node's liveness
@@ -237,7 +189,6 @@ RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
       if (round_messages >= next_poll) {
         next_poll += kDeliveryPollStride;
         if (cancel) cancel->check();
-        check_wall_budget(options.budget, t0, alg.name());
       }
       auto& out = outbox[static_cast<std::size_t>(v)];
       if (out.empty()) continue;
@@ -259,7 +210,6 @@ RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
     result.messages += round_messages;
     result.message_bytes += round_bytes;
     if (diag) diag->per_round.push_back({round_messages, round_bytes, live});
-    check_message_budget(options.budget, result.messages, alg.name());
     for_each_node(par, g.node_count(), cancel, [&](NodeId v) {
       if (done(v)) return;
       nodes[static_cast<std::size_t>(v)]->receive(
@@ -314,7 +264,6 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
   LDLB_REQUIRE_MSG(g.has_proper_po_coloring(),
                    "PO algorithms need a proper PO colouring");
   const int delta = g.max_degree();
-  const auto t0 = Clock::now();
   RunDiagnostics* diag = options.diagnostics;
   CancellationToken* cancel = options.cancel;
   if (diag) diag->reset(g.node_count());
@@ -361,7 +310,6 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
   while (!all_done()) {
     ++round;
     check_round_budget(options.budget, round, alg.name());
-    check_wall_budget(options.budget, t0, alg.name());
     if (cancel) cancel->check();
     int live = 0;
     for (NodeId v = 0; v < g.node_count(); ++v) {
@@ -394,7 +342,6 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
       if (round_messages >= next_poll) {
         next_poll += kDeliveryPollStride;
         if (cancel) cancel->check();
-        check_wall_budget(options.budget, t0, alg.name());
       }
       const auto& arc = g.arc(a);
       const Color c = arc.color;
@@ -406,7 +353,6 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
     result.messages += round_messages;
     result.message_bytes += round_bytes;
     if (diag) diag->per_round.push_back({round_messages, round_bytes, live});
-    check_message_budget(options.budget, result.messages, alg.name());
     for_each_node(par, g.node_count(), cancel, [&](NodeId v) {
       if (done(v)) return;
       nodes[static_cast<std::size_t>(v)]->receive(

@@ -10,15 +10,17 @@
 //
 // The executor also measures the quantities the paper's statements are
 // about: the number of rounds until every node has halted, and the number
-// of messages exchanged. Runs are *guarded*: every run carries a RunBudget
-// (rounds, and optionally messages and wall-clock), and violations of the
-// model's output contract surface as typed errors —
+// of messages exchanged. Every run carries a round budget — the one
+// resource the paper's bounds speak about — and a run that fails does so
+// with a typed error —
 //
-//   BudgetExceeded   the algorithm overran a budget
+//   BudgetExceeded   the algorithm overran its round budget
 //   ModelViolation   an end had no announced weight, or the two ends of an
 //                    edge announced different weights
+//   Cancelled        the run's CancellationToken was cancelled or its
+//                    Deadline passed
 //
-// both deriving from ldlb::Error (util/error.hpp). The executor runs the
+// all deriving from ldlb::Error (util/error.hpp). The executor runs the
 // paper's reliable model only: no node crashes and every message arrives
 // intact. Optional RunDiagnostics collect per-round histograms and a
 // halting profile even when the run dies mid-flight.
@@ -30,12 +32,11 @@
 
 namespace ldlb {
 
-/// Resource limits for one run. `max_rounds` is mandatory (the LOCAL lower
-/// bounds are statements about rounds); the rest default to unlimited.
+/// Resource limit for one run: rounds, because the LOCAL lower bounds are
+/// statements about rounds. Wall time is limited through a
+/// CancellationToken's Deadline instead.
 struct RunBudget {
-  int max_rounds = 0;            ///< hard round limit (> 0)
-  long long max_messages = 0;    ///< total delivered messages; <= 0: unlimited
-  double max_wall_seconds = 0;   ///< wall-clock limit; <= 0: unlimited
+  int max_rounds = 0;  ///< hard round limit (> 0)
 };
 
 /// Per-round traffic histogram entry.
@@ -46,18 +47,17 @@ struct RoundStats {
 };
 
 /// Structured trace of a run, filled incrementally so it survives a typed
-/// throw (the guarded layer reports partial diagnostics for failed runs).
+/// throw: after a failed run it holds the rounds completed so far.
 struct RunDiagnostics {
   std::vector<RoundStats> per_round;  ///< index r-1 holds round r
   std::vector<int> halt_round;   ///< per node: round after which it halted
                                  ///< (0 = before round 1, -1 = never)
-  std::string first_violation;  ///< what() of the error that ended the run
-                                ///< ("" for a clean run); set by guarded_run
 
   void reset(NodeId nodes);
 };
 
-/// How to execute a run: budgets, optional tracing, optional cancellation.
+/// How to execute a run: round budget, optional tracing, optional
+/// cancellation.
 struct RunOptions {
   RunBudget budget;
   RunDiagnostics* diagnostics = nullptr;  ///< not owned; may be null
@@ -80,9 +80,9 @@ struct RunResult {
 };
 
 /// Runs an EC algorithm on a properly edge-coloured multigraph. Throws
-/// BudgetExceeded when a budget is overrun, ModelViolation when the output
-/// contract is broken, ContractViolation when the graph is not properly
-/// coloured.
+/// BudgetExceeded when the round budget is overrun, ModelViolation when the
+/// output contract is broken, Cancelled when `options.cancel` fires,
+/// ContractViolation when the graph is not properly coloured.
 RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
                  const RunOptions& options);
 

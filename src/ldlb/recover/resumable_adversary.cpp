@@ -1,89 +1,18 @@
 #include "ldlb/recover/resumable_adversary.hpp"
 
-#include <cmath>
 #include <sstream>
-#include <utility>
 
 #include "ldlb/core/base_case.hpp"
+#include "ldlb/util/cancellation.hpp"
 #include "ldlb/util/error.hpp"
 
 namespace ldlb {
-
-namespace {
-
-// Mirrors the default budget of core/adversary.cpp so an uninterrupted
-// resumable run and run_adversary see identical budgets.
-int base_round_budget(int delta, const AdversaryOptions& options) {
-  return options.max_rounds > 0 ? options.max_rounds
-                                : 16 * (delta + 2) * (delta + 2);
-}
-
-// Builds one level under the retry policy: transient failures retry with an
-// escalated round budget, permanent ones rethrow immediately. Every attempt
-// is appended to `log`.
-template <typename Build>
-CertificateLevel supervised_level(const RetryPolicy& policy, int base_rounds,
-                                  SupervisionLog& log, Build&& build) {
-  for (int attempt = 1;; ++attempt) {
-    RunBudget base;
-    base.max_rounds = base_rounds;
-    const int rounds = policy.escalated(base, attempt).max_rounds;
-    SupervisionAttempt record;
-    record.attempt = attempt;
-    record.max_rounds = rounds;
-    try {
-      CertificateLevel lv = build(rounds);
-      record.status = RunStatus::kOk;
-      log.attempts.push_back(std::move(record));
-      return lv;
-    } catch (const BudgetExceeded& e) {
-      record.status = RunStatus::kBudgetExceeded;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      if (attempt >= policy.max_attempts) {
-        log.exhausted = true;
-        throw;
-      }
-    } catch (const Cancelled& e) {
-      // Cancellation is a request to stop, never a failure to retry.
-      record.status = RunStatus::kCancelled;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      throw;
-    } catch (const IoError& e) {
-      record.status = RunStatus::kEnvFault;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      if (!policy.transient(RunStatus::kEnvFault, e.error_code())) throw;
-      if (attempt >= policy.max_attempts) {
-        log.exhausted = true;
-        throw;
-      }
-    } catch (const ModelViolation& e) {
-      record.status = RunStatus::kModelViolation;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      throw;
-    } catch (const Error& e) {
-      record.status = RunStatus::kContractViolation;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      throw;
-    }
-  }
-}
-
-}  // namespace
 
 LowerBoundCertificate run_adversary_resumable(EcAlgorithm& algorithm,
                                               int delta, CertificateLog& log,
                                               const ResumeOptions& options,
                                               ResumeInfo* info) {
   LDLB_REQUIRE(delta >= 2);
-  LDLB_REQUIRE_MSG(options.retry.max_attempts >= 1,
-                   "a retry policy needs at least one attempt");
-  LDLB_REQUIRE_MSG(options.retry.budget_factor >= 1.0,
-                   "budget escalation must not shrink budgets");
   ResumeInfo local_info;
   ResumeInfo& inf = info != nullptr ? *info : local_info;
   inf = {};
@@ -122,7 +51,6 @@ LowerBoundCertificate run_adversary_resumable(EcAlgorithm& algorithm,
   chain.delta = delta;
   chain.algorithm_name = algorithm.name();
 
-  const int base_rounds = base_round_budget(delta, options.adversary);
   const auto checkpoint = [&](const CertificateLevel& lv) {
     log.checkpoint(chain);
     ++inf.computed_levels;
@@ -132,25 +60,16 @@ LowerBoundCertificate run_adversary_resumable(EcAlgorithm& algorithm,
   if (options.adversary.cancel) options.adversary.cancel->check();
 
   if (chain.levels.empty()) {
-    CertificateLevel base =
-        supervised_level(options.retry, base_rounds, inf.supervision,
-                         [&](int rounds) {
-                           return build_base_case(algorithm, delta, rounds);
-                         });
-    chain.levels.push_back(std::move(base));
+    chain.levels.push_back(build_base_case(
+        algorithm, delta, adversary_round_budget(delta, options.adversary)));
     checkpoint(chain.levels.back());
   }
 
   while (chain.certified_radius() < delta - 2) {
     if (options.adversary.cancel) options.adversary.cancel->check();
-    AdversaryOptions step_options = options.adversary;
-    CertificateLevel next = supervised_level(
-        options.retry, base_rounds, inf.supervision, [&](int rounds) {
-          step_options.max_rounds = rounds;
-          return adversary_step(algorithm, delta, chain.levels.back(),
-                                step_options);
-        });
-    chain.levels.push_back(std::move(next));
+    chain.levels.push_back(adversary_step(algorithm, delta,
+                                          chain.levels.back(),
+                                          options.adversary));
     checkpoint(chain.levels.back());
   }
 

@@ -2,7 +2,7 @@
 // the longest trusted prefix.
 //
 // run_adversary_resumable is run_adversary (core/adversary.hpp) wrapped in
-// durability and supervision:
+// durability:
 //
 //   * after each CertificateLevel is certified it is appended to the
 //     certificate log (recover/cert_log.hpp) with append + fsync, so a
@@ -14,13 +14,11 @@
 //     (wrong algorithm, wrong Δ, forged weights) is discarded instead of
 //     being trusted into the chain; construction continues from the first
 //     missing level;
-//   * each level build runs under the RetryPolicy of recover/supervisor.hpp:
-//     a BudgetExceeded trip retries with an escalated round budget, a
-//     transient IoError (ENOSPC, EAGAIN, EINTR) retries as is, while
-//     ModelViolation / ContractViolation / hard I/O errors fail fast; every
-//     attempt lands in the SupervisionLog of the ResumeInfo. The checkpoint
-//     write itself is not retried: its IoError surfaces to the caller, and
-//     rerunning resumes from what the log holds.
+//   * the base case and each step are built once, under the same round
+//     budget as run_adversary (adversary_round_budget); any failure — a
+//     BudgetExceeded, ModelViolation, Cancelled, or the IoError of a
+//     checkpoint write — propagates unchanged, and rerunning resumes from
+//     what the log holds.
 //
 // The construction is deterministic and the certificate text format is an
 // exact round-trip, so a run resumed from any level produces a final
@@ -34,14 +32,12 @@
 
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/recover/cert_log.hpp"
-#include "ldlb/recover/supervisor.hpp"
 
 namespace ldlb {
 
 /// Options for a resumable run.
 struct ResumeOptions {
   AdversaryOptions adversary;  ///< forwarded to every adversary step
-  RetryPolicy retry;           ///< per-level supervision (budget escalation)
   /// Re-validate the loaded prefix against the algorithm before trusting
   /// it; levels from the first invalid one onward are recomputed.
   bool revalidate = true;
@@ -61,7 +57,6 @@ struct ResumeInfo {
   int computed_levels = 0;   ///< levels built (or rebuilt) this run
   std::string discard_reason;  ///< why loaded levels were rejected ("" if
                                ///< none were)
-  SupervisionLog supervision;  ///< every level-build attempt this run
 };
 
 /// Runs the full adversary against `algorithm` at maximum degree `delta`,

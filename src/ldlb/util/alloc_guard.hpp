@@ -7,7 +7,8 @@
 // charge_alloc(bytes) before (logically) allocating, and once the budget is
 // exhausted every further charge throws std::bad_alloc — the same failure
 // the real allocator would produce, but on demand and reproducibly. The
-// guarded layer classifies the resulting throw as RunStatus::kEnvFault.
+// std::bad_alloc propagates to the caller unchanged, like every other
+// failure of a run.
 //
 // The budget is thread-local on purpose: a test arms it around the code
 // under test without perturbing pool workers, and an unarmed thread pays a

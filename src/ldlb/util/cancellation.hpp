@@ -6,9 +6,10 @@
 // parallel_invoke between chunks, the simulator's round loop and delivery
 // loop, the adversary between phases, the resumable adversary between
 // levels) poll the token via check(), which throws the typed Cancelled
-// error. The guarded layer (fault/guarded_run.hpp) classifies that throw as
-// RunStatus::kCancelled with whatever partial RunDiagnostics the run had
-// accumulated — a cancelled run is a *classified outcome*, not a torn one.
+// error. That throw propagates unchanged to the caller, and a RunDiagnostics
+// sink keeps whatever the run had accumulated — a cancelled run is a typed
+// outcome, not a torn one. A Deadline is also the way to bound a run's wall
+// time: the simulator's own budget counts rounds only.
 //
 // Deadlines use std::chrono::steady_clock so that a clock step (NTP, manual
 // adjustment) can neither fire a deadline early nor postpone it. A token

@@ -2,8 +2,9 @@
 //
 // Every failure the library can report derives from `ldlb::Error`, so a
 // caller that wants "anything ldlb noticed went wrong" catches one type,
-// while the test suite and the guarded-execution layer (fault/guarded_run)
-// can distinguish *how* a run went wrong:
+// while a caller that cares *how* a run went wrong catches the subclass.
+// A failed run has exactly this one failure path: the typed exception
+// propagates unchanged to the caller.
 //
 //   Error
 //   ├── ContractViolation   broken precondition / internal invariant
@@ -12,8 +13,7 @@
 //   │                       real or injected by fault/env_fault)
 //   ├── ModelViolation      an algorithm broke the LOCAL-model output
 //   │                       contract (missing or disagreeing announcements)
-//   ├── BudgetExceeded      a guarded run overran its round / message /
-//   │                       wall-clock budget
+//   ├── BudgetExceeded      a simulated run overran its round budget
 //   ├── FaultInjected       a simulated process crash (crash_at_level in
 //   │                       recover/resumable_adversary.hpp)
 //   └── Cancelled           a CancellationToken (util/cancellation.hpp) was
@@ -64,10 +64,8 @@ class ParseError : public Error {
 
 /// Thrown by the file helpers (util/atomic_file, the certificate log) when a
 /// filesystem operation fails — for real, or injected through the
-/// fault/env_fault seam. Carries the path involved and the errno value, so
-/// the supervision layer can classify transient (ENOSPC, EAGAIN, EINTR)
-/// against permanent (EIO, ...) environment failures; the what() text
-/// includes the failing operation and the errno description.
+/// fault/env_fault seam. Carries the path involved and the errno value; the
+/// what() text includes the failing operation and the errno description.
 class IoError : public Error {
  public:
   IoError(const std::string& what, std::string path, int error_code = 0)
@@ -84,8 +82,7 @@ class IoError : public Error {
 
 /// Thrown by CancellationToken::check() once cancellation was requested (or
 /// the token's deadline passed). Carries the structured reason given to
-/// request_cancel(); the guarded layer classifies this as
-/// RunStatus::kCancelled instead of letting a cancelled run look torn.
+/// request_cancel(), so a cancelled run is told apart from a failed one.
 class Cancelled : public Error {
  public:
   explicit Cancelled(const std::string& what, std::string reason = "")
@@ -117,24 +114,18 @@ class ModelViolation : public Error {
   std::int64_t edge_;
 };
 
-/// Thrown by the simulator when a run overruns one of its budgets.
+/// Thrown by the simulator when a run overruns its round budget.
 class BudgetExceeded : public Error {
  public:
-  enum class Kind { kRounds, kMessages, kWallClock };
+  BudgetExceeded(const std::string& what, long long limit, long long used)
+      : Error(what), limit_(limit), used_(used) {}
 
-  BudgetExceeded(const std::string& what, Kind kind, long long limit,
-                 long long used)
-      : Error(what), kind_(kind), limit_(limit), used_(used) {}
-
-  [[nodiscard]] Kind kind() const { return kind_; }
-  /// The configured budget.
+  /// The configured round budget.
   [[nodiscard]] long long limit() const { return limit_; }
-  /// What was actually consumed when the budget tripped (microseconds for
-  /// the wall-clock kind).
+  /// The round the run had reached when the budget tripped (limit + 1).
   [[nodiscard]] long long used() const { return used_; }
 
  private:
-  Kind kind_;
   long long limit_;
   long long used_;
 };

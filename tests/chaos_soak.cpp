@@ -16,9 +16,9 @@
 //   torn-tail  a completed log truncated at a random byte, then resume
 //              from the salvaged prefix;
 //   guarded    a deadline-expired / round-budget-capped /
-//              allocation-starved guarded run must classify (kCancelled /
-//              kBudgetExceeded / kEnvFault) without a certificate, then a
-//              clean resumable run from scratch;
+//              allocation-starved adversary run must fail with its typed
+//              error (Cancelled / BudgetExceeded / std::bad_alloc) without
+//              a certificate, then a clean resumable run from scratch;
 //   certlog-kill a child process checkpointing into the certificate log
 //              is SIGKILLed from its own checkpoint hook, the survivor log
 //              is additionally torn mid-record, and the reopen must
@@ -43,7 +43,6 @@
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/core/certificate_io.hpp"
 #include "ldlb/fault/env_fault.hpp"
-#include "ldlb/fault/guarded_run.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/recover/cert_log.hpp"
 #include "ldlb/recover/resumable_adversary.hpp"
@@ -200,42 +199,50 @@ int main() {
           resume_and_compare(delta);
           break;
         }
-        case 3: {  // guarded interruption classifies, then a clean run
+        case 3: {  // an interrupted run's typed failure, then a clean run
           g_scenario = "guarded";
           SeqColorPacking alg{delta};
-          GuardedOutcome outcome;
-          RunStatus expected = RunStatus::kOk;
-          switch (rng.next_below(3)) {
-            case 0: {  // already-expired global deadline
-              expected = RunStatus::kCancelled;
-              CancellationToken token{Deadline::in(0.0)};
-              AdversaryOptions opts;
-              opts.cancel = &token;
-              outcome = guarded_run_adversary(alg, delta, opts);
-              break;
+          const char* expected = "";
+          const char* outcome = "no error";
+          bool certified = false;
+          try {
+            switch (rng.next_below(3)) {
+              case 0: {  // already-expired global deadline
+                expected = "Cancelled";
+                CancellationToken token{Deadline::in(0.0)};
+                AdversaryOptions opts;
+                opts.cancel = &token;
+                (void)run_adversary(alg, delta, opts);
+                break;
+              }
+              case 1: {  // per-run round budget of 1
+                expected = "BudgetExceeded";
+                AdversaryOptions opts;
+                opts.max_rounds = 1;
+                (void)run_adversary(alg, delta, opts);
+                break;
+              }
+              default: {  // starved allocation budget
+                expected = "std::bad_alloc";
+                // A warm memo would satisfy the run without charging a byte.
+                clear_ball_encoding_cache();
+                ScopedAllocBudget budget(256);
+                (void)run_adversary(alg, delta);
+                break;
+              }
             }
-            case 1: {  // per-run round budget of 1
-              expected = RunStatus::kBudgetExceeded;
-              AdversaryOptions opts;
-              opts.max_rounds = 1;
-              outcome = guarded_run_adversary(alg, delta, opts);
-              break;
-            }
-            default: {  // starved allocation budget
-              expected = RunStatus::kEnvFault;
-              // A warm memo would satisfy the run without charging a byte.
-              clear_ball_encoding_cache();
-              ScopedAllocBudget budget(256);
-              outcome = guarded_run_adversary(alg, delta);
-              break;
-            }
+            certified = true;
+          } catch (const Cancelled&) {
+            outcome = "Cancelled";
+          } catch (const BudgetExceeded&) {
+            outcome = "BudgetExceeded";
+          } catch (const std::bad_alloc&) {
+            outcome = "std::bad_alloc";
           }
-          check(outcome.status == expected,
-                std::string("guarded run classified as ") +
-                    outcome.classification() + ", expected " +
-                    to_string(expected));
-          check(!outcome.certificate.has_value(),
-                "interrupted guarded run still produced a certificate");
+          check(std::string(outcome) == expected,
+                std::string("interrupted run ended with ") + outcome +
+                    ", expected " + expected);
+          check(!certified, "interrupted run still produced a certificate");
           clear_ball_encoding_cache();  // a bad_alloc may have starved it
           resume_and_compare(delta);
           break;

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "ldlb/graph/edge_coloring.hpp"
 #include "ldlb/graph/generators.hpp"
+#include "ldlb/local/simulator.hpp"
 
 namespace ldlb {
 namespace {
@@ -83,6 +85,46 @@ TEST(Checker, DigraphMaximality) {
   EXPECT_TRUE(check_fully_saturated(g, all_half).ok);
   auto zeros = weights({Rational(0), Rational(0), Rational(0)});
   EXPECT_FALSE(check_maximal(g, zeros).ok);
+}
+
+// Halts after one round with the all-zero output: passes the simulator's
+// cross-check but fails maximality on any graph with an edge.
+class AllZero : public EcAlgorithm {
+ public:
+  class Node : public EcNodeState {
+   public:
+    explicit Node(std::vector<Color> colors) : colors_(std::move(colors)) {}
+    std::map<Color, Message> send(int) override { return {}; }
+    void receive(int, const std::map<Color, Message>&) override {
+      done_ = true;
+    }
+    [[nodiscard]] bool halted() const override { return done_; }
+    [[nodiscard]] std::map<Color, Rational> output() const override {
+      std::map<Color, Rational> out;
+      for (Color c : colors_) out[c] = Rational(0);
+      return out;
+    }
+
+   private:
+    std::vector<Color> colors_;
+    bool done_ = false;
+  };
+  std::unique_ptr<EcNodeState> make_node(const EcNodeContext& ctx) override {
+    return std::make_unique<Node>(ctx.incident_colors);
+  }
+  [[nodiscard]] std::string name() const override { return "AllZero"; }
+};
+
+// A clean run with a wrong output: the checker reports exactly how.
+TEST(Checker, ReportsViolationSiteOfSimulatedRun) {
+  Multigraph g = greedy_edge_coloring(make_cycle(6));
+  AllZero alg;
+  const RunResult run = run_ec(g, alg, 10);
+  const CheckResult r = check_maximal(g, run.matching);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.report.kind, ViolationKind::kEdgeUnsaturated);
+  EXPECT_GE(r.report.edge, 0);
+  EXPECT_EQ(r.report.amount, Rational(1));  // deficit below 1
 }
 
 TEST(Checker, TotalWeight) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <filesystem>
 
 #include "ldlb/core/certificate_io.hpp"
@@ -204,51 +205,127 @@ TEST(CrashResume, CheckpointHookSeesOnlyFreshLevels) {
   log.remove();
 }
 
-// The supervision log records every level build, and the retry policy
-// rescues a run whose configured round budget is too small.
-TEST(CrashResume, RetryPolicyEscalatesTightRoundBudgets) {
-  const int delta = 4;
-  CertificateLog log{temp_path("retry.ldcl")};
-  log.remove();
-  SeqColorPacking alg{delta};
-  ResumeOptions options;
-  options.adversary.max_rounds = 1;  // SeqColorPacking needs delta+1 rounds
-  options.retry.max_attempts = 6;
-  options.retry.budget_factor = 2.0;
-  ResumeInfo info;
-  LowerBoundCertificate cert =
-      run_adversary_resumable(alg, delta, log, options, &info);
-  EXPECT_EQ(cert.certified_radius(), delta - 2);
-  // At least one attempt tripped the budget before escalation rescued it.
-  bool saw_budget_trip = false;
-  for (const auto& at : info.supervision.attempts) {
-    if (at.status == RunStatus::kBudgetExceeded) saw_budget_trip = true;
+// Halts instantly but announces nothing: a ModelViolation on every run.
+class Mute : public EcAlgorithm {
+ public:
+  class Node : public EcNodeState {
+   public:
+    std::map<Color, Message> send(int) override { return {}; }
+    void receive(int, const std::map<Color, Message>&) override {}
+    [[nodiscard]] bool halted() const override { return true; }
+    [[nodiscard]] std::map<Color, Rational> output() const override {
+      return {};
+    }
+  };
+  std::unique_ptr<EcNodeState> make_node(const EcNodeContext&) override {
+    return std::make_unique<Node>();
   }
-  EXPECT_TRUE(saw_budget_trip);
-  EXPECT_FALSE(info.supervision.exhausted);
-  EXPECT_GT(info.supervision.attempts.size(),
-            static_cast<std::size_t>(delta - 1));
+  [[nodiscard]] std::string name() const override { return "Mute"; }
+};
+
+// Environment-flaky black box: while armed, its next `failures` runs die
+// with an IoError carrying `io_errno` before computing anything; every
+// other run is SeqColorPacking's, under SeqColorPacking's name, so a chain
+// it completes is byte-identical to the clean one.
+class IoFlaky : public EcAlgorithm {
+ public:
+  IoFlaky(int delta, int failures, int io_errno)
+      : inner_(delta), failures_(failures), io_errno_(io_errno) {}
+
+  void arm(int failures) { failures_ = failures; }
+
+  std::unique_ptr<EcNodeState> make_node(const EcNodeContext& ctx) override {
+    fail_while_flaky();
+    return inner_.make_node(ctx);
+  }
+  // A run starts here when the simulator takes the closed-form path.
+  [[nodiscard]] std::optional<EcDirectRun> evaluate_direct(
+      const Multigraph& g) const override {
+    fail_while_flaky();
+    return inner_.evaluate_direct(g);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  // The failure counter is unsynchronized state (parallel_safe() stays
+  // false, so every run is serial).
+
+ private:
+  void fail_while_flaky() const {
+    if (failures_ == 0) return;
+    --failures_;
+    throw IoError("injected I/O failure", "/dev/flaky", io_errno_);
+  }
+
+  SeqColorPacking inner_;
+  mutable int failures_;
+  int io_errno_;
+};
+
+// A level build fails once, with its typed error: nothing retries it, and
+// nothing was certified, so no log file is left.
+TEST(CrashResume, LevelBuildEioPropagates) {
+  const int delta = 4;
+  CertificateLog log{temp_path("eio.ldcl")};
+  log.remove();
+  IoFlaky alg{delta, /*failures=*/1, EIO};
+  try {
+    run_adversary_resumable(alg, delta, log);
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.error_code(), EIO);
+  }
+  EXPECT_FALSE(log.exists());
+}
+
+TEST(CrashResume, ModelViolationPropagates) {
+  CertificateLog log{temp_path("mute.ldcl")};
+  log.remove();
+  Mute alg;
+  EXPECT_THROW(run_adversary_resumable(alg, 4, log), ModelViolation);
+  EXPECT_FALSE(log.exists());
+}
+
+// An ENOSPC inside a level build surfaces as is; rerunning over the same
+// log resumes from the levels already checkpointed and reproduces the
+// reference certificate and log bytes.
+TEST(CrashResume, LevelBuildEnospcSurfacesAndRerunResumes) {
+  const int delta = 5;
+  CertificateLog log{temp_path("enospc.ldcl")};
+  log.remove();
+  IoFlaky alg{delta, /*failures=*/0, ENOSPC};
+  ResumeOptions options;
+  options.on_checkpoint = [&](const CertificateLevel& lv) {
+    if (lv.level == 1) alg.arm(1);  // the level-2 build hits ENOSPC
+  };
+  try {
+    run_adversary_resumable(alg, delta, log, options);
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.error_code(), ENOSPC);
+  }
+  EXPECT_EQ(log.load().levels.size(), 2u);
+
+  ResumeInfo info;
+  const LowerBoundCertificate cert =
+      run_adversary_resumable(alg, delta, log, {}, &info);
+  EXPECT_EQ(info.trusted_levels, 2);
+  EXPECT_EQ(info.computed_levels, delta - 3);
+  EXPECT_EQ(certificate_to_string(cert), reference_text(delta));
+  EXPECT_EQ(read_file(log.path()), reference_log(delta));
   log.remove();
 }
 
+// A round budget too small for the algorithm fails the run with
+// BudgetExceeded: the resumable run applies the budget it is given, as
+// run_adversary does.
 TEST(CrashResume, PermanentFailuresAreNotRetried) {
-  // An impostor that breaks the output contract must fail fast: exactly one
-  // attempt per policy, kModelViolation recorded... but SeqColorPacking is
-  // correct, so use a hostile budget of attempts=1 to check the exhausted
-  // path instead.
   const int delta = 4;
   CertificateLog log{temp_path("exhausted.ldcl")};
   log.remove();
   SeqColorPacking alg{delta};
   ResumeOptions options;
-  options.adversary.max_rounds = 1;
-  options.retry.max_attempts = 1;  // no escalation allowed
-  ResumeInfo info;
-  EXPECT_THROW(run_adversary_resumable(alg, delta, log, options, &info),
+  options.adversary.max_rounds = 1;  // SeqColorPacking needs delta+1 rounds
+  EXPECT_THROW(run_adversary_resumable(alg, delta, log, options),
                BudgetExceeded);
-  ASSERT_EQ(info.supervision.attempts.size(), 1u);
-  EXPECT_EQ(info.supervision.attempts[0].status, RunStatus::kBudgetExceeded);
-  EXPECT_TRUE(info.supervision.exhausted);
   log.remove();
 }
 

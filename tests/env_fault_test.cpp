@@ -3,8 +3,8 @@
 // dir-fsync × EIO / ENOSPC / short-write), injected into a checkpointed
 // adversary run, must leave a loadable log whose resumed run reproduces
 // the clean certificate — and the clean log — byte for byte. Allocation-
-// failure injection (util/alloc_guard) must classify as kEnvFault and leave
-// the library reusable afterwards.
+// failure injection (util/alloc_guard) must fail a run with std::bad_alloc
+// and leave the library reusable afterwards.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -16,7 +16,6 @@
 
 #include "ldlb/core/certificate_io.hpp"
 #include "ldlb/fault/env_fault.hpp"
-#include "ldlb/fault/guarded_run.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/recover/cert_log.hpp"
 #include "ldlb/recover/resumable_adversary.hpp"
@@ -165,8 +164,8 @@ TEST(EnvFaultSweep, CheckpointedRunSurvivesEveryFaultPoint) {
       clear_ball_encoding_cache();
       SeqColorPacking alg{delta};
       CertificateLog log(path);
-      // The checkpoint write sits outside per-level supervision, so the
-      // injected IoError surfaces directly whatever the retry policy says.
+      // Nothing retries a failed checkpoint write: the injected IoError
+      // surfaces directly, and the rerun below resumes from the log.
       EXPECT_THROW(run_adversary_resumable(alg, delta, log, {}), IoError);
       EXPECT_TRUE(plan.fired());
     }
@@ -202,21 +201,6 @@ TEST(EnvFaultSweep, CheckpointedRunSurvivesEveryFaultPoint) {
   }
 }
 
-// A fault the retry policy deems transient (ENOSPC) and that then clears
-// must be retried and absorbed by the per-level supervision, not surfaced.
-// The checkpoint write itself sits outside supervised_level, so ENOSPC on
-// it is exercised here only for classification; a transient IoError
-// raised inside a level build is retried end to end in
-// supervisor_test.cpp (SupervisedLevel.TransientEnospcRetriesThenSucceeds).
-TEST(EnvFault, EnospcCheckpointFaultIsClassifiedTransient) {
-  RetryPolicy policy;
-  EXPECT_TRUE(policy.transient(RunStatus::kEnvFault, ENOSPC));
-  EXPECT_TRUE(policy.transient(RunStatus::kEnvFault, EAGAIN));
-  EXPECT_TRUE(policy.transient(RunStatus::kEnvFault, EINTR));
-  EXPECT_FALSE(policy.transient(RunStatus::kEnvFault, EIO));
-  EXPECT_FALSE(policy.transient(RunStatus::kEnvFault, 0));
-}
-
 TEST(AllocGuard, BudgetExhaustionThrowsBadAlloc) {
   EXPECT_FALSE(ScopedAllocBudget::active());
   charge_alloc(1 << 30);  // no budget armed: free
@@ -237,24 +221,19 @@ TEST(AllocGuard, StarvesBigIntLimbGrowth) {
   EXPECT_THROW((void)(big * big), std::bad_alloc);
 }
 
-TEST(AllocGuard, AdversaryRunClassifiesAsEnvFault) {
+TEST(AllocGuard, AdversaryRunThrowsBadAllocThenRecovers) {
   // A warm memo would satisfy the run without a single charged allocation.
   clear_ball_encoding_cache();
   SeqColorPacking alg{5};
-  GuardedOutcome outcome;
   {
     ScopedAllocBudget budget(256);  // starves the ball-encoding memo
-    outcome = guarded_run_adversary(alg, 5);
+    EXPECT_THROW((void)run_adversary(alg, 5), std::bad_alloc);
   }
-  EXPECT_EQ(outcome.status, RunStatus::kEnvFault);
-  EXPECT_EQ(outcome.env_errno, 0);  // bad_alloc carries no errno
-  EXPECT_FALSE(outcome.certificate.has_value());
 
   // The library is fully usable once the budget is gone.
   clear_ball_encoding_cache();
-  GuardedOutcome retry = guarded_run_adversary(alg, 5);
-  EXPECT_EQ(retry.status, RunStatus::kOk);
-  EXPECT_TRUE(retry.certificate.has_value());
+  const LowerBoundCertificate cert = run_adversary(alg, 5);
+  EXPECT_EQ(cert.certified_radius(), 3);
 }
 
 TEST(BallCache, RespectsByteBudgetWithLruEviction) {

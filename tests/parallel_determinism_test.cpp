@@ -14,12 +14,12 @@
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/core/base_case.hpp"
 #include "ldlb/core/certificate_io.hpp"
-#include "ldlb/fault/guarded_run.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/util/error.hpp"
 #include "ldlb/util/thread_pool.hpp"
 #include "ldlb/view/isomorphism.hpp"
+#include "halts_only_in_base_case.hpp"
 
 namespace ldlb {
 namespace {
@@ -257,62 +257,36 @@ TEST(ParallelDeterminism, NonSaturatingAlgorithmRejectedOnAnyThreadCount) {
   }
 }
 
-// Thread-safe subject that fails only inside adversary step 1: its first
-// two make_node calls (the base case's two one-node runs) delegate to
-// SeqColorPacking, every later node never halts. Every step-1 branch, GH,
-// GG and HH alike, therefore trips the round budget, so speculation runs
-// three failing branches concurrently while the serial path fails on GH.
-class HaltsOnlyInBaseCase : public EcAlgorithm {
- public:
-  explicit HaltsOnlyInBaseCase(int delta) : base_(delta) {}
-
-  class Spinner : public EcNodeState {
-   public:
-    std::map<Color, Message> send(int) override { return {}; }
-    void receive(int, const std::map<Color, Message>&) override {}
-    [[nodiscard]] bool halted() const override { return false; }
-    [[nodiscard]] std::map<Color, Rational> output() const override {
-      return {};
-    }
-  };
-
-  std::unique_ptr<EcNodeState> make_node(const EcNodeContext& ctx) override {
-    if (made_.fetch_add(1) < 2) return base_.make_node(ctx);
-    return std::make_unique<Spinner>();
-  }
-  [[nodiscard]] std::string name() const override {
-    return "HaltsOnlyInBaseCase";
-  }
-  [[nodiscard]] bool parallel_safe() const override { return true; }
-
-  [[nodiscard]] int made() const { return made_.load(); }
-
- private:
-  SeqColorPacking base_;
-  std::atomic<int> made_{0};
-};
-
-TEST(ParallelDeterminism, TrippedBudgetClassifiesIdenticallyAcrossThreads) {
+// HaltsOnlyInBaseCase trips the round budget in every step-1 branch, so
+// speculation runs three failing branches concurrently while the serial
+// path fails on GH.
+TEST(ParallelDeterminism, TrippedBudgetFailsIdenticallyAcrossThreads) {
   const int delta = 6;
   std::string serial_error;
   for (int threads : {1, 2, 8}) {
     PoolOverride pool(threads);
     clear_ball_encoding_cache();
     HaltsOnlyInBaseCase alg{delta};
-    GuardedOutcome outcome = guarded_run_adversary(alg, delta);
-    EXPECT_EQ(outcome.status, RunStatus::kBudgetExceeded)
-        << "threads=" << threads;
-    EXPECT_FALSE(outcome.certificate.has_value());
+    bool certified = false;
+    std::string error;
+    try {
+      (void)run_adversary(alg, delta);
+      certified = true;
+    } catch (const BudgetExceeded& e) {
+      error = e.what();
+    }
+    EXPECT_FALSE(error.empty()) << "threads=" << threads;
+    EXPECT_FALSE(certified) << "threads=" << threads;
     // The trip happened inside the step, not in the base case.
     EXPECT_GT(alg.made(), 2) << "threads=" << threads;
     if (threads == 1) {
-      serial_error = outcome.error;
+      serial_error = error;
       EXPECT_EQ(serial_error,
                 "algorithm 'HaltsOnlyInBaseCase' exceeded " +
                     std::to_string(adversary_round_budget(delta, {})) +
                     " rounds");
     } else {
-      EXPECT_EQ(outcome.error, serial_error) << "threads=" << threads;
+      EXPECT_EQ(error, serial_error) << "threads=" << threads;
     }
   }
 }

@@ -1,13 +1,16 @@
 // Tests for the synchronous LOCAL executor: delivery semantics (including
-// loop self-delivery), round accounting, halting, and output cross-checking.
+// loop self-delivery), round accounting, halting, output cross-checking,
+// and the closed-form path against the round-by-round interpreter.
 #include "ldlb/local/simulator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <deque>
 
+#include "ldlb/core/adversary.hpp"
 #include "ldlb/graph/edge_coloring.hpp"
 #include "ldlb/graph/generators.hpp"
+#include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/util/error.hpp"
 
 namespace ldlb {
@@ -88,24 +91,84 @@ TEST(Simulator, EnforcesRoundBudget) {
     run_ec(g, alg, 10);
     FAIL() << "expected BudgetExceeded";
   } catch (const BudgetExceeded& e) {
-    EXPECT_EQ(e.kind(), BudgetExceeded::Kind::kRounds);
     EXPECT_EQ(e.limit(), 10);
+    EXPECT_EQ(e.used(), 11);
   }
 }
 
-TEST(Simulator, EnforcesMessageBudget) {
-  Multigraph g = greedy_edge_coloring(make_cycle(5));
-  EchoAlgorithm alg{4};
-  RunOptions options;
-  options.budget.max_rounds = 10;
-  options.budget.max_messages = 15;  // each round delivers 20
-  try {
-    run_ec(g, alg, options);
-    FAIL() << "expected BudgetExceeded";
-  } catch (const BudgetExceeded& e) {
-    EXPECT_EQ(e.kind(), BudgetExceeded::Kind::kMessages);
-    EXPECT_GT(e.used(), e.limit());
+// Chatty and never halts: every round, every node sends on every end.
+class Chatter : public EcAlgorithm {
+ public:
+  class Node : public EcNodeState {
+   public:
+    explicit Node(std::vector<Color> colors) : colors_(std::move(colors)) {}
+    std::map<Color, Message> send(int) override {
+      std::map<Color, Message> out;
+      for (Color c : colors_) out[c] = "x";
+      return out;
+    }
+    void receive(int, const std::map<Color, Message>&) override {}
+    [[nodiscard]] bool halted() const override { return false; }
+    [[nodiscard]] std::map<Color, Rational> output() const override {
+      return {};
+    }
+
+   private:
+    std::vector<Color> colors_;
+  };
+  std::unique_ptr<EcNodeState> make_node(const EcNodeContext& ctx) override {
+    return std::make_unique<Node>(ctx.incident_colors);
   }
+  [[nodiscard]] std::string name() const override { return "Chatter"; }
+};
+
+TEST(Simulator, DiagnosticsSurviveBudgetAbort) {
+  Multigraph g = greedy_edge_coloring(make_cycle(6));
+  Chatter alg;
+  RunOptions options;
+  options.budget.max_rounds = 5;
+  RunDiagnostics diag;
+  options.diagnostics = &diag;
+  EXPECT_THROW(run_ec(g, alg, options), BudgetExceeded);
+  // The five completed rounds were recorded before round 6 tripped.
+  ASSERT_EQ(diag.per_round.size(), 5u);
+  for (const RoundStats& round : diag.per_round) {
+    EXPECT_EQ(round.messages, 12);
+    EXPECT_EQ(round.live_nodes, 6);
+  }
+  for (int r : diag.halt_round) EXPECT_EQ(r, -1);
+}
+
+// A diagnostics sink is the only thing that turns the closed-form path off,
+// so running every stored graph of the seq chains with and without a sink
+// compares the two paths on the inputs the adversary actually builds.
+TEST(Simulator, ClosedFormMatchesInterpreterOnSeqChains) {
+  int compared = 0;
+  for (int delta = 3; delta <= 12; ++delta) {
+    SeqColorPacking alg{delta};
+    const LowerBoundCertificate chain = run_adversary(alg, delta);
+    RunOptions closed;
+    closed.budget.max_rounds = adversary_round_budget(delta, {});
+    for (const CertificateLevel& lv : chain.levels) {
+      for (const Multigraph* g : {&lv.g, &lv.h}) {
+        ASSERT_TRUE(alg.evaluate_direct(*g).has_value())
+            << "delta=" << delta << " level=" << lv.level;
+        RunDiagnostics diag;
+        RunOptions interpreted = closed;
+        interpreted.diagnostics = &diag;
+        const RunResult a = run_ec(*g, alg, closed);
+        const RunResult b = run_ec(*g, alg, interpreted);
+        EXPECT_EQ(a.matching.weights(), b.matching.weights())
+            << "delta=" << delta << " level=" << lv.level;
+        EXPECT_EQ(a.rounds, b.rounds);
+        EXPECT_EQ(a.messages, b.messages);
+        EXPECT_EQ(a.message_bytes, b.message_bytes);
+        EXPECT_EQ(diag.per_round.size(), static_cast<std::size_t>(b.rounds));
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 130);  // 2 graphs × (2 + 3 + ... + 11) levels
 }
 
 TEST(Simulator, CollectsDiagnostics) {

@@ -130,11 +130,9 @@ void run_layering(const SourceModel& model,
 
 const std::vector<std::string>& entry_prefixes() {
   static const std::vector<std::string> kPrefixes = {
-      "run_adversary",       "guarded_run_adversary",
-      "plan_adversary_step", "combine_adversary_step",
-      "validate_",           "serialize_",
-      "deserialize_",        "write_certificate",
-      "read_certificate"};
+      "run_adversary",    "plan_adversary_step", "combine_adversary_step",
+      "validate_",        "serialize_",          "deserialize_",
+      "write_certificate", "read_certificate"};
   return kPrefixes;
 }
 

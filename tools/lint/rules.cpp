@@ -130,10 +130,10 @@ std::vector<Rule> build_rules() {
     r.name = "catch-all";
     r.prefix = "";
     r.suffix =
-        " outside the thread-pool/guarded-run boundaries; catch the typed "
-        "ldlb errors, or annotate why the boundary must be opaque";
+        " outside the thread-pool boundary; catch the typed ldlb errors, "
+        "or annotate why the boundary must be opaque";
     Pattern p = pat(R"(catch\s*\(\s*\.\.\.\s*\))", "catch (...)");
-    p.excludes = {"util/thread_pool.", "fault/guarded_run."};
+    p.excludes = {"util/thread_pool."};
     r.patterns = {std::move(p)};
     rules.push_back(std::move(r));
   }
