@@ -28,8 +28,6 @@
 #include "ldlb/recover/cert_log.hpp"
 #include "ldlb/util/rng.hpp"
 #include "ldlb/util/thread_pool.hpp"
-#include "ldlb/view/ball_store.hpp"
-#include "ldlb/view/isomorphism.hpp"
 
 namespace {
 
@@ -95,8 +93,7 @@ void sweep(bench::JsonWriter& json, const SweepConfig& config,
                       "upper/lower"}};
   if (config.print_table) table.print_header();
 
-  // Sweep to the canonical ball engine's working ceiling (Δ = 20, final
-  // graphs ~2^18 nodes).
+  // Sweep to Δ = 20 (final graphs ~2^18 nodes).
   json.begin_object()
       .key("threads").value(global_pool().size())
       .key("runs").begin_array();
@@ -104,19 +101,17 @@ void sweep(bench::JsonWriter& json, const SweepConfig& config,
     SeqColorPacking seq{delta};
     TwoPhasePacking two{delta};
     // Min over a few repetitions: single-shot wall times on shared CI
-    // machines jitter by 10-20%, enough to blur a 2x comparison. The ball
-    // cache is cleared before every repetition so each one is a cold-cache
-    // run, like the single-shot measurement the baseline numbers came from.
-    // Past Δ = 14 a single repetition keeps the sweep bounded; at that size
-    // the run is long enough that scheduler jitter no longer dominates.
+    // machines jitter by 10-20%, enough to blur a 2x comparison. Nothing is
+    // cached across repetitions, so each one is a cold run, like the
+    // single-shot measurement the baseline numbers came from. Past Δ = 14 a
+    // single repetition keeps the sweep bounded; at that size the run is
+    // long enough that scheduler jitter no longer dominates.
     const int reps = delta <= 14 ? 3 : 1;
     double adversary_ms = 0.0;
     double validate_ms = 0.0;
     bool valid = false;
     LowerBoundCertificate cert;
-    const BallStoreStats stats_before = ball_store_stats();
     for (int rep = 0; rep < reps; ++rep) {
-      clear_ball_encoding_cache();
       auto t0 = std::chrono::steady_clock::now();
       cert = run_adversary(seq, delta);
       const double a = elapsed_ms(t0);
@@ -152,27 +147,6 @@ void sweep(bench::JsonWriter& json, const SweepConfig& config,
         .value(static_cast<long long>(CertificateLog::serialize(cert).size()))
         .key("validate_peak_rss_kb")
         .value(static_cast<long long>(peak_rss_kb()));
-    // Canonical ball engine telemetry for this delta point (all reps): how
-    // often key queries were answered from the (graph, node, radius) memo,
-    // and how often sub-ball signatures were already interned (structure
-    // sharing across levels). Collisions must read zero — nonzero would be
-    // a soundness bug, not a perf problem.
-    const BallStoreStats stats_after = ball_store_stats();
-    const auto rate = [](std::uint64_t hits, std::uint64_t total) {
-      return total == 0 ? 0.0
-                        : static_cast<double>(hits) / static_cast<double>(total);
-    };
-    json.key("ball_key_queries")
-        .value(static_cast<long long>(stats_after.key_queries -
-                                      stats_before.key_queries))
-        .key("ball_key_memo_hit_rate")
-        .value(rate(stats_after.memo_hits - stats_before.memo_hits,
-                    stats_after.key_queries - stats_before.key_queries))
-        .key("ball_intern_hit_rate")
-        .value(rate(stats_after.intern_hits - stats_before.intern_hits,
-                    stats_after.intern_lookups - stats_before.intern_lookups))
-        .key("ball_key_collisions")
-        .value(static_cast<long long>(stats_after.collisions));
     if (auto it = baseline.find(delta); it != baseline.end()) {
       json.key("baseline_adversary_ms").value(it->second);
       if (adversary_ms > 0) {

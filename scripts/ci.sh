@@ -14,7 +14,7 @@
 # with the peak RSS pinned below the fully-resident validator, format
 # round-trips, torn-tail resume and env-fault injection smokes), and a
 # perf-regression gate that holds the Δ=12 adversary+validate chain within
-# 2x of the checked-in canonical-ball-engine baseline. All stages must be
+# 2x of the checked-in baseline. All stages must be
 # green.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -116,13 +116,12 @@ echo "== plain build =="
 # advisory so a sanitizer-specific diagnostic cannot mask a real failure.
 run_suite build -DLDLB_WERROR=ON
 
-# Performance gate: the canonical ball engine must keep the Δ=12
-# adversary+validate chain within 2x of the checked-in quiet-machine
-# baseline (min-of-3, cold ball cache per rep). Catches an accidental
+# Performance gate: the Δ=12 adversary+validate chain must stay within 2x
+# of the checked-in quiet-machine baseline (min-of-3). Catches an accidental
 # return to the propagation-era costs (~10x the baseline) while leaving
 # headroom for noisy CI neighbours; regenerate the baseline with
 # `ldlb_perf_gate --measure` on a quiet machine after intentional changes.
-echo "== perf gate (delta 12 canonical ball engine) =="
+echo "== perf gate (delta 12 adversary+validate) =="
 build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta12_ms.txt
 run_chaos build 25
 run_certlog_stream build

@@ -443,12 +443,6 @@ BallStoreStats ball_store_stats() {
   return out;
 }
 
-void note_ball_oracle_check(bool agreed) {
-  std::lock_guard<std::mutex> lk(g_mutex);
-  ++g_stats.oracle_checks;
-  if (!agreed) ++g_stats.oracle_disagreements;
-}
-
 void clear_ball_store() {
   std::lock_guard<std::mutex> lk(g_mutex);
   clear_intern_table();

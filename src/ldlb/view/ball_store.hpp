@@ -12,9 +12,14 @@
 // then k_r(v) = k_r(w) iff τ_r(G, v) ≅ τ_r(H, w) — on trees the depth-r
 // view tree *is* the ball (a tree is its own universal cover), and the
 // recursion is exactly the AHU canonical form of that view tree, folded
-// into a 128-bit FNV-1a key instead of an unbounded string. Hot-path
-// isomorphism checks become O(1) key compares; the propagation-based check
-// stays available as an oracle (LDLB_BALL_ORACLE=1, see isomorphism.cpp).
+// into a 128-bit FNV-1a key instead of an unbounded string.
+//
+// Property (P1) no longer uses these keys: the producer and the validator
+// decide it exactly with `balls_isomorphic_at` (view/isomorphism). The
+// store remains only because the certbench harness times
+// `canonical_ball_key` (its keys/s micro) and reads `ball_store_stats`; it
+// goes, with Multigraph::fingerprint(), when that benchmark retires its
+// ball_store metrics.
 //
 // Every distinct signature (loop colours + (colour, child) list) is
 // *interned* once in a global table, so the engine structure-shares across
@@ -58,17 +63,11 @@ struct BallStoreStats {
   std::uint64_t intern_hits = 0;      ///< ... that were already interned
   std::uint64_t collisions = 0;       ///< 128-bit key clashes (must be 0)
   std::uint64_t intern_resets = 0;    ///< wholesale table resets (pressure)
-  std::uint64_t oracle_checks = 0;    ///< key results re-checked vs oracle
-  std::uint64_t oracle_disagreements = 0;  ///< ... that disagreed (must be 0)
   std::size_t interned_signatures = 0;     ///< live entries in the table
   std::size_t bytes = 0;                   ///< memo + intern footprint
 };
 
 [[nodiscard]] BallStoreStats ball_store_stats();
-
-/// Records an oracle cross-check (isomorphism.cpp calls this when
-/// LDLB_BALL_ORACLE=1 re-derives a key compare via propagation).
-void note_ball_oracle_check(bool agreed);
 
 /// Drops every memoized key and interned signature (cold-cache timings).
 void clear_ball_store();

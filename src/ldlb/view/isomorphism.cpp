@@ -1,7 +1,6 @@
 #include "ldlb/view/isomorphism.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <tuple>
@@ -205,66 +204,133 @@ std::string canonical_tree_encoding(const Multigraph& g, NodeId root) {
 
 namespace {
 
-// When set, every canonical-key compare is re-derived through ball
-// extraction + propagation and a disagreement aborts: the slow path is the
-// ground truth the fast path must reproduce bit-for-bit.
-bool ball_oracle_enabled() {
-  static const bool enabled = [] {
-    // ldlb-analyze: allow(determinism): latched once; enables the slow
-    // cross-check path which aborts on disagreement, never changes results.
-    const char* s = std::getenv("LDLB_BALL_ORACLE");
-    return s != nullptr && *s != '\0' && *s != '0';
-  }();
-  return enabled;
-}
+// Colours at or above this bound get no slot table; the construction's
+// colours lie in [0, Δ), far below it. Such balls take the extraction path.
+constexpr Color kSlotColours = Color{1} << 16;
 
-}  // namespace
+// Marks a colour slot whose G end an H end has already claimed.
+constexpr NodeId kClaimed = -2;
 
-bool balls_isomorphic_cached(const Multigraph& g, NodeId gv,
-                             const Multigraph& h, NodeId hv, int radius) {
-  // Hot path: O(1) compare of canonical colour-refinement keys
-  // (view/ball_store). Keys exist exactly when the host graphs are properly
-  // coloured trees-with-loops — always the case for the Section 4
-  // construction (P3).
-  const std::optional<Checksum128> kg = canonical_ball_key(g, gv, radius);
-  if (kg.has_value()) {
-    const std::optional<Checksum128> kh = canonical_ball_key(h, hv, radius);
-    if (kh.has_value()) {
-      const bool iso = *kg == *kh;
-      if (ball_oracle_enabled()) {
-        // ldlb-lint: allow(ball-extraction): the oracle re-derives the
-        // answer through the materialised slow path on purpose.
-        Ball bg = extract_ball(g, gv, radius);
-        // ldlb-lint: allow(ball-extraction): second half of the oracle pair.
-        Ball bh = extract_ball(h, hv, radius);
-        const bool truth = balls_isomorphic(bg, bh);
-        note_ball_oracle_check(truth == iso);
-        LDLB_ENSURE_MSG(truth == iso,
-                        "canonical ball key compare ("
-                            << (iso ? "iso" : "non-iso")
-                            << ") disagrees with the propagation oracle at "
-                            << "radius " << radius << ", nodes " << gv << "/"
-                            << hv);
-      }
-      return iso;
-    }
-  }
-  // At least one host graph is not a properly coloured tree-with-loops; fall
-  // back to ball extraction + the generic propagation-based check.
-  // ldlb-lint: allow(ball-extraction): canonical keys only decide tree
-  // shapes; other shapes need the materialised propagation check.
+// The materialised answer: extract both balls and propagate. Exact on any
+// input; balls_isomorphic_at defers to it for balls it does not decide.
+bool balls_isomorphic_by_extraction(const Multigraph& g, NodeId gv,
+                                    const Multigraph& h, NodeId hv,
+                                    int radius) {
+  // ldlb-lint: allow(ball-extraction): the reference answer for balls that
+  // are not properly coloured or whose colours exceed the slot table.
   Ball bg = extract_ball(g, gv, radius);
-  // ldlb-lint: allow(ball-extraction): second half of the fallback pair.
+  // ldlb-lint: allow(ball-extraction): second half of the reference pair.
   Ball bh = extract_ball(h, hv, radius);
   return balls_isomorphic(bg, bh);
 }
 
-void clear_ball_encoding_cache() { clear_ball_store(); }
+}  // namespace
 
-void set_ball_encoding_cache_budget(std::size_t bytes) {
-  set_ball_store_budget(bytes);
+bool balls_isomorphic_at(const Multigraph& g, NodeId gv, const Multigraph& h,
+                         NodeId hv, int radius) {
+  LDLB_REQUIRE(gv >= 0 && gv < g.node_count());
+  LDLB_REQUIRE(hv >= 0 && hv < h.node_count());
+  LDLB_REQUIRE(radius >= 0);
+  const auto at = [](NodeId v) { return static_cast<std::size_t>(v); };
+  const auto declined = [&] {
+    return balls_isomorphic_by_extraction(g, gv, h, hv, radius);
+  };
+
+  // φ : V(g) -> V(h) and its inverse, grown in lockstep; depth is BFS depth
+  // in g, which equals depth in h for every mapped pair.
+  std::vector<NodeId> phi(at(g.node_count()), kNoNode);
+  std::vector<NodeId> inv(at(h.node_count()), kNoNode);
+  std::vector<int> depth(at(g.node_count()), -1);
+  std::vector<NodeId> queue;
+  queue.reserve(at(g.node_count()));
+  // slot[c]: the far end of the colour-c edge at the node being expanded
+  // (the node itself for a loop); reset through `touched` after each node.
+  std::vector<NodeId> slot;
+  std::vector<Color> touched;
+  // Ball edges at a depth-radius node come only from depth-(radius-1)
+  // nodes, so no expansion sees them together. A node reached by a second
+  // such edge gets its colours checked once here.
+  std::vector<char> rim_checked;
+  std::vector<Color> rim_colours;
+  const auto rim_proper = [&](NodeId w) {
+    if (rim_checked.empty()) rim_checked.assign(at(g.node_count()), 0);
+    if (rim_checked[at(w)] != 0) return true;
+    rim_checked[at(w)] = 1;
+    rim_colours.clear();
+    for (EdgeId e : g.incident_edges(w)) {
+      const Multigraph::Edge& ed = g.edge(e);
+      const NodeId x = ed.u == w ? ed.v : ed.u;
+      if (x != w && depth[at(x)] == radius - 1) rim_colours.push_back(ed.color);
+    }
+    std::sort(rim_colours.begin(), rim_colours.end());
+    return rim_colours.front() >= 0 &&
+           std::adjacent_find(rim_colours.begin(), rim_colours.end()) ==
+               rim_colours.end();
+  };
+
+  phi[at(gv)] = hv;
+  inv[at(hv)] = gv;
+  depth[at(gv)] = 0;
+  queue.push_back(gv);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    const int du = depth[at(u)];
+    if (du >= radius) break;  // BFS order: every later node is as deep
+    const NodeId u2 = phi[at(u)];
+
+    // Every end at u lies in the ball. A repeated or uncoloured end means
+    // the ball is not properly coloured.
+    touched.clear();
+    for (EdgeId e : g.incident_edges(u)) {
+      const Multigraph::Edge& ed = g.edge(e);
+      const Color c = ed.color;
+      if (c < 0 || c >= kSlotColours) return declined();
+      if (at(c) >= slot.size()) {
+        slot.resize(std::max(at(c) + 1, 2 * slot.size()), kNoNode);
+      }
+      if (slot[at(c)] != kNoNode) return declined();
+      slot[at(c)] = ed.u == u ? ed.v : ed.u;
+      touched.push_back(c);
+    }
+
+    // The colour-c end at u2 must match the colour-c end at u: both loops,
+    // or non-loops whose far ends are both new or already paired.
+    const IncidenceView ends_h = h.incident_edges(u2);
+    if (ends_h.size() != touched.size()) return false;
+    for (EdgeId e : ends_h) {
+      const Multigraph::Edge& ed = h.edge(e);
+      const Color c = ed.color;
+      if (c < 0 || at(c) >= slot.size()) return false;
+      const NodeId w = slot[at(c)];
+      // Missing at u, or a second colour-c end at u2.
+      if (w == kNoNode || w == kClaimed) return false;
+      slot[at(c)] = kClaimed;
+      const NodeId w2 = ed.u == u2 ? ed.v : ed.u;
+      if ((w == u) != (w2 == u2)) return false;
+      if (w == u) continue;
+      NodeId& img = phi[at(w)];
+      if (img == kNoNode) {
+        if (inv[at(w2)] != kNoNode) return false;
+        img = w2;
+        inv[at(w2)] = w;
+        depth[at(w)] = du + 1;
+        queue.push_back(w);
+      } else if (img != w2) {
+        return false;
+      } else if (depth[at(w)] == radius && !rim_proper(w)) {
+        return declined();
+      }
+    }
+    for (Color c : touched) slot[at(c)] = kNoNode;
+  }
+  return true;
 }
 
-std::size_t ball_encoding_cache_bytes() { return ball_store_bytes(); }
+bool balls_isomorphic_cached(const Multigraph& g, NodeId gv,
+                             const Multigraph& h, NodeId hv, int radius) {
+  return balls_isomorphic_at(g, gv, h, hv, radius);
+}
+
+void clear_ball_encoding_cache() { clear_ball_store(); }
 
 }  // namespace ldlb

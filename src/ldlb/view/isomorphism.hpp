@@ -7,7 +7,7 @@
 // reduces to one deterministic propagation pass — no search. This is how the
 // library checks property (P1) of the lower-bound construction,
 //     τ_i(G_i, g_i) ≅ τ_i(H_i, h_i),
-// exactly rather than heuristically.
+// exactly rather than heuristically (`balls_isomorphic_at`).
 //
 // Canonical encodings of rooted trees-with-loops (the shape of all graphs in
 // the Section 4 construction, property (P3)) are also provided for hashing
@@ -53,28 +53,24 @@ bool balls_isomorphic(const Ball& a, const Ball& b);
 /// Requires `g.is_forest_ignoring_loops()` and connectivity.
 std::string canonical_tree_encoding(const Multigraph& g, NodeId root);
 
-/// Equivalent to `balls_isomorphic(extract_ball(g, gv, r),
-/// extract_ball(h, hv, r))` but answered by an O(1) compare of canonical
-/// colour-refinement keys (view/ball_store) when both host graphs are
-/// properly coloured trees-with-loops (always the case for the Section 4
-/// construction, property (P3)); transparently falls back to ball
-/// extraction + rooted isomorphism for other shapes. Setting
-/// LDLB_BALL_ORACLE=1 re-derives every key compare through the propagation
-/// path and aborts on disagreement.
+/// Decides τ_radius(g, gv) ≅ τ_radius(h, hv) — property (P1) — exactly:
+/// equivalent to `balls_isomorphic(extract_ball(g, gv, radius),
+/// extract_ball(h, hv, radius))` on every input. A lockstep BFS from
+/// (gv, hv) builds the colour-forced map node by node, expanding only nodes
+/// at depth < radius (Section 3.1), and stops when its frontier empties, so
+/// any radius up to INT_MAX is fine. No hash, no cache, no search; scratch
+/// is O(|V(g)| + |V(h)|) per call. When a ball is not properly coloured the
+/// answer comes from the ball-extraction path.
+bool balls_isomorphic_at(const Multigraph& g, NodeId gv, const Multigraph& h,
+                         NodeId hv, int radius);
+
+/// Forwards to `balls_isomorphic_at`. Kept because the certbench harness
+/// compiles against this name and times it as its P1 span.
 bool balls_isomorphic_cached(const Multigraph& g, NodeId gv,
                              const Multigraph& h, NodeId hv, int radius);
 
-/// Drops the canonical ball-key store (view/ball_store; mainly for tests
-/// and benchmarks that want cold-cache timings).
+/// Drops the canonical ball-key store (view/ball_store). P1 no longer uses
+/// the store; the certbench harness calls this for its cold-store timings.
 void clear_ball_encoding_cache();
-
-/// Sets the byte budget of the canonical ball-key store (see
-/// set_ball_store_budget). The store evicts until it fits; a budget of 0
-/// disables memoization entirely. The default is 8 MiB, overridable at
-/// first use via the LDLB_BALL_CACHE_BYTES environment variable.
-void set_ball_encoding_cache_budget(std::size_t bytes);
-
-/// Approximate bytes currently held by the canonical ball-key store.
-[[nodiscard]] std::size_t ball_encoding_cache_bytes();
 
 }  // namespace ldlb

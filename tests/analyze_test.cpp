@@ -7,9 +7,10 @@
 //      with one planted violation per pass (layer back-edge, include
 //      cycle, undeclared module, a clock source laundered through two
 //      calls from a certificate entry point, an unguarded annotated
-//      field, a lock-order inversion, a poll-free infinite loop) plus a
-//      suppressed loop and a stale suppression — must produce exactly the
-//      expected diagnostics;
+//      field, a lock-order inversion, a poll-free infinite loop, a loop
+//      whose only callee merely names a cancelled state) plus a suppressed
+//      loop and a stale suppression — must produce exactly the expected
+//      diagnostics;
 //   3. the real tree must analyze clean, so the gate cannot silently rot.
 
 #include <gtest/gtest.h>
@@ -69,6 +70,7 @@ TEST(AnalyzeFixtures, ExactDiagnosticsFromPlantedTree) {
       "src/ldlb/core/locked.cpp:18:locks",
       "src/ldlb/core/locked.cpp:23:locks",
       "src/ldlb/core/spin.cpp:9:cancellation",
+      "src/ldlb/core/spin.cpp:53:cancellation",
       "src/ldlb/graph/cyc_a.hpp:3:layering",
       "src/ldlb/graph/stale.cpp:3:stale-suppression",
       "src/ldlb/order/extra.cpp:1:layering",
@@ -171,7 +173,7 @@ TEST(AnalyzeBinary, FixtureTreeFailsRealTreePasses) {
   const auto fixture = run(std::string(LDLB_ANALYZE_BIN) + " --root " +
                            LDLB_ANALYZE_FIXTURE_ROOT);
   EXPECT_EQ(fixture.first, 1);
-  EXPECT_EQ(std::count(fixture.second.begin(), fixture.second.end(), '\n'), 9)
+  EXPECT_EQ(std::count(fixture.second.begin(), fixture.second.end(), '\n'), 10)
       << fixture.second;
 
   const auto real =

@@ -23,7 +23,6 @@
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/cancellation.hpp"
 #include "ldlb/util/thread_pool.hpp"
-#include "ldlb/view/isomorphism.hpp"
 #include "halts_only_in_base_case.hpp"
 
 namespace ldlb {
@@ -197,7 +196,6 @@ TEST(Cancellation, ResumableRunLeavesLoadableLogAndResumesIdentically) {
   std::string clean;
   std::string clean_log;
   {
-    clear_ball_encoding_cache();
     SeqColorPacking alg{delta};
     const LowerBoundCertificate chain = run_adversary(alg, delta);
     std::ostringstream os;
@@ -208,7 +206,6 @@ TEST(Cancellation, ResumableRunLeavesLoadableLogAndResumesIdentically) {
 
   // Cancel a resumable run from another thread, mid-chain.
   {
-    clear_ball_encoding_cache();
     SeqColorPacking alg{delta};
     CertificateLog log(path);
     CancellationToken token;
@@ -239,7 +236,6 @@ TEST(Cancellation, ResumableRunLeavesLoadableLogAndResumesIdentically) {
 
   // Resuming with a fresh token completes to the clean run's exact bytes.
   {
-    clear_ball_encoding_cache();
     SeqColorPacking alg{delta};
     CertificateLog log(path);
     ResumeInfo info;

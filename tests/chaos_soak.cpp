@@ -15,10 +15,11 @@
 //              rewrite, renames);
 //   torn-tail  a completed log truncated at a random byte, then resume
 //              from the salvaged prefix;
-//   guarded    a deadline-expired / round-budget-capped /
-//              allocation-starved adversary run must fail with its typed
-//              error (Cancelled / BudgetExceeded / std::bad_alloc) without
-//              a certificate, then a clean resumable run from scratch;
+//   guarded    a deadline-expired / round-budget-capped adversary run or
+//              an allocation-starved certificate load must fail with its
+//              typed error (Cancelled / BudgetExceeded / std::bad_alloc)
+//              without a certificate, then a clean resumable run from
+//              scratch;
 //   certlog-kill a child process checkpointing into the certificate log
 //              is SIGKILLed from its own checkpoint hook, the survivor log
 //              is additionally torn mid-record, and the reopen must
@@ -52,7 +53,6 @@
 #include "ldlb/util/error.hpp"
 #include "ldlb/util/rng.hpp"
 #include "ldlb/util/thread_pool.hpp"
-#include "ldlb/view/isomorphism.hpp"
 
 namespace {
 
@@ -224,10 +224,12 @@ int main() {
               }
               default: {  // starved allocation budget
                 expected = "std::bad_alloc";
-                // A warm memo would satisfy the run without charging a byte.
-                clear_ball_encoding_cache();
-                ScopedAllocBudget budget(256);
-                (void)run_adversary(alg, delta);
+                // Loading charges each graph's edge reservation; G_0 alone
+                // has delta >= 3 loops, more than 16 bytes of edges.
+                const std::string text =
+                    certificate_to_string(run_adversary(alg, delta));
+                ScopedAllocBudget budget(16);
+                (void)certificate_from_string(text);
                 break;
               }
             }
@@ -243,7 +245,6 @@ int main() {
                 std::string("interrupted run ended with ") + outcome +
                     ", expected " + expected);
           check(!certified, "interrupted run still produced a certificate");
-          clear_ball_encoding_cache();  // a bad_alloc may have starved it
           resume_and_compare(delta);
           break;
         }

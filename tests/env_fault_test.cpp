@@ -23,7 +23,6 @@
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/bigint.hpp"
 #include "ldlb/util/error.hpp"
-#include "ldlb/view/isomorphism.hpp"
 
 namespace ldlb {
 namespace {
@@ -116,7 +115,6 @@ TEST(EnvFaultSweep, CheckpointedRunSurvivesEveryFaultPoint) {
   std::string clean;
   std::string clean_log;
   {
-    clear_ball_encoding_cache();
     SeqColorPacking alg{delta};
     const LowerBoundCertificate chain = run_adversary(alg, delta);
     clean = certificate_bytes(chain);
@@ -161,7 +159,6 @@ TEST(EnvFaultSweep, CheckpointedRunSurvivesEveryFaultPoint) {
 
     plan.arm(point.op, point.mode, point.nth);
     {
-      clear_ball_encoding_cache();
       SeqColorPacking alg{delta};
       CertificateLog log(path);
       // Nothing retries a failed checkpoint write: the injected IoError
@@ -185,7 +182,6 @@ TEST(EnvFaultSweep, CheckpointedRunSurvivesEveryFaultPoint) {
     // Resume with the fault cleared: byte-identical final certificate, and
     // a repaired log byte-identical to a never-faulted one.
     {
-      clear_ball_encoding_cache();
       SeqColorPacking alg{delta};
       CertificateLog log(path);
       ResumeInfo info;
@@ -221,37 +217,20 @@ TEST(AllocGuard, StarvesBigIntLimbGrowth) {
   EXPECT_THROW((void)(big * big), std::bad_alloc);
 }
 
-TEST(AllocGuard, AdversaryRunThrowsBadAllocThenRecovers) {
-  // A warm memo would satisfy the run without a single charged allocation.
-  clear_ball_encoding_cache();
+TEST(AllocGuard, CertificateReadThrowsBadAllocThenRecovers) {
   SeqColorPacking alg{5};
+  const std::string text = certificate_to_string(run_adversary(alg, 5));
   {
-    ScopedAllocBudget budget(256);  // starves the ball-encoding memo
-    EXPECT_THROW((void)run_adversary(alg, 5), std::bad_alloc);
+    // Reading charges each graph's edge reservation: G_0's five loops fit
+    // in 64 bytes, H_0's four more do not.
+    ScopedAllocBudget budget(64);
+    EXPECT_THROW((void)certificate_from_string(text), std::bad_alloc);
   }
 
   // The library is fully usable once the budget is gone.
-  clear_ball_encoding_cache();
-  const LowerBoundCertificate cert = run_adversary(alg, 5);
+  const LowerBoundCertificate cert = certificate_from_string(text);
   EXPECT_EQ(cert.certified_radius(), 3);
-}
-
-TEST(BallCache, RespectsByteBudgetWithLruEviction) {
-  clear_ball_encoding_cache();
-  set_ball_encoding_cache_budget(2048);
-  SeqColorPacking alg{6};
-  (void)run_adversary(alg, 6);  // populates the cache heavily
-  EXPECT_LE(ball_encoding_cache_bytes(), 2048u);
-
-  // Budget 0 disables memoization outright but keeps answers correct.
-  clear_ball_encoding_cache();
-  set_ball_encoding_cache_budget(0);
-  (void)run_adversary(alg, 6);
-  EXPECT_EQ(ball_encoding_cache_bytes(), 0u);
-
-  // Restore the default for the rest of the suite.
-  set_ball_encoding_cache_budget(std::size_t{8} << 20);
-  clear_ball_encoding_cache();
+  EXPECT_TRUE(certificate_is_valid(cert, alg));
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 // silent acceptance — and the error must point at the right line. A
 // randomised mutation sweep then hammers the parsers with corrupted
 // round-trip text: any outcome other than "parsed" or "typed ldlb::Error"
-// is a bug.
+// is a bug. Certificates that parse but are wrong (a moved witness, a
+// proper recolouring, a relabelled witness node, an off-by-1/997 weight)
+// must be rejected by the validator with the flag that names the fault.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -25,6 +28,8 @@
 #include "ldlb/util/checksum.hpp"
 #include "ldlb/util/error.hpp"
 #include "ldlb/util/rng.hpp"
+#include "ldlb/view/ball.hpp"
+#include "ldlb/view/isomorphism.hpp"
 
 namespace ldlb {
 namespace {
@@ -486,6 +491,130 @@ TEST(IoFuzz, CertificateByteFlipSweep) {
   EXPECT_GT(rejected, 0);
   EXPECT_GT(identical, 0);
   EXPECT_GT(metadata, 0);
+}
+
+// --- well-formed but wrong certificates -----------------------------------
+
+// A mutation that keeps the text parseable and every graph in the palette,
+// properly coloured and within degree Δ, yet makes the last level wrong.
+// The validator must name the fault in the flag it sets, never throw, and
+// never accept.
+class WrongCertificate : public ::testing::Test {
+ protected:
+  static constexpr int kDelta = 8;
+
+  void SetUp() override {
+    ref_ = run_adversary(alg_, kDelta);
+    ASSERT_TRUE(certificate_is_valid(ref_, alg_, /*check_loopiness=*/false));
+  }
+
+  CertificateLevel& last(LowerBoundCertificate& cert) {
+    return cert.levels.back();
+  }
+
+  // Round-trips `cert` through the text format and validates what parsed;
+  // returns the last level's verdict after the certificate-wide checks.
+  LevelValidation validate_parsed(const LowerBoundCertificate& cert) {
+    const LowerBoundCertificate parsed =
+        certificate_from_string(certificate_to_string(cert));
+    std::vector<LevelValidation> verdicts;
+    EXPECT_NO_THROW(verdicts = validate_certificate(
+                        parsed, alg_, /*check_loopiness=*/false));
+    EXPECT_EQ(verdicts.size(), parsed.levels.size());
+    EXPECT_FALSE(certificate_is_valid(parsed, alg_, false));
+    if (verdicts.empty()) return {};
+    // Only the mutated level may fail.
+    for (std::size_t i = 0; i + 1 < verdicts.size(); ++i) {
+      EXPECT_TRUE(verdicts[i].ok()) << "level " << i;
+    }
+    const LevelValidation v = verdicts.back();
+    EXPECT_TRUE(v.degree_ok);
+    EXPECT_TRUE(v.shape_ok);
+    return v;
+  }
+
+  // The reference answer to P1 for a candidate mutation.
+  static bool p1_holds(const CertificateLevel& lv) {
+    return balls_isomorphic(extract_ball(lv.g, lv.g_node, lv.level),
+                            extract_ball(lv.h, lv.h_node, lv.level));
+  }
+
+  SeqColorPacking alg_{kDelta};
+  LowerBoundCertificate ref_;
+};
+
+TEST_F(WrongCertificate, SwappedWitnessFailsP1) {
+  // Move G's witness to another node's colour-c loop whose ball differs.
+  LowerBoundCertificate cert = ref_;
+  CertificateLevel& lv = last(cert);
+  bool planted = false;
+  for (EdgeId e = 0; e < lv.g.edge_count() && !planted; ++e) {
+    const Multigraph::Edge& ed = lv.g.edge(e);
+    if (!ed.is_loop() || ed.color != lv.c || ed.u == lv.g_node) continue;
+    CertificateLevel moved = lv;
+    moved.g_node = ed.u;
+    moved.g_loop = e;
+    if (p1_holds(moved)) continue;
+    lv = moved;
+    planted = true;
+  }
+  ASSERT_TRUE(planted) << "no colour-c loop with a different ball";
+  const LevelValidation v = validate_parsed(cert);
+  EXPECT_TRUE(v.witness_loops_ok);
+  EXPECT_FALSE(v.balls_isomorphic);
+}
+
+TEST_F(WrongCertificate, ProperRecolouringInsideTheBallFailsP1) {
+  // Recolour one H edge within distance `level` of h_i to a palette colour
+  // free at both ends, so the colouring stays proper.
+  LowerBoundCertificate cert = ref_;
+  CertificateLevel& lv = last(cert);
+  const std::vector<int> dist = lv.h.distances_from(lv.h_node);
+  const auto used_at = [&](NodeId v, Color k) {
+    for (EdgeId e : lv.h.incident_edges(v)) {
+      if (lv.h.edge(e).color == k) return true;
+    }
+    return false;
+  };
+  bool planted = false;
+  for (EdgeId e = 0; e < lv.h.edge_count() && !planted; ++e) {
+    if (e == lv.h_loop) continue;
+    const Multigraph::Edge ed = lv.h.edge(e);
+    const int d = std::min(dist[static_cast<std::size_t>(ed.u)],
+                           dist[static_cast<std::size_t>(ed.v)]);
+    if (d < 0 || d + 1 > lv.level) continue;
+    for (Color k = 0; k < kDelta && !planted; ++k) {
+      if (used_at(ed.u, k) || used_at(ed.v, k)) continue;
+      CertificateLevel recoloured = lv;
+      recoloured.h.set_color(e, k);
+      if (p1_holds(recoloured)) continue;
+      lv = recoloured;
+      planted = true;
+    }
+  }
+  ASSERT_TRUE(planted) << "no edge in the ball has a free palette colour";
+  ASSERT_TRUE(lv.h.has_proper_edge_coloring());
+  const LevelValidation v = validate_parsed(cert);
+  EXPECT_TRUE(v.witness_loops_ok);
+  EXPECT_FALSE(v.balls_isomorphic);
+}
+
+TEST_F(WrongCertificate, RelabelledWitnessNodeFailsTheLoopCheck) {
+  // g_i names a node the stored witness loop is not attached to.
+  LowerBoundCertificate cert = ref_;
+  CertificateLevel& lv = last(cert);
+  lv.g_node = (lv.g_node + 1) % lv.g.node_count();
+  const LevelValidation v = validate_parsed(cert);
+  EXPECT_FALSE(v.witness_loops_ok);
+}
+
+TEST_F(WrongCertificate, StoredWeightOffByOneIn997FailsTheRerun) {
+  LowerBoundCertificate cert = ref_;
+  last(cert).h_weight += Rational(1, 997);
+  const LevelValidation v = validate_parsed(cert);
+  EXPECT_TRUE(v.balls_isomorphic);
+  EXPECT_TRUE(v.outputs_differ);
+  EXPECT_FALSE(v.weights_match_stored);
 }
 
 // --- truncation sweeps -----------------------------------------------------

@@ -1,5 +1,5 @@
 // Fixture: ball-extraction — a materialised ball outside view/ball and
-// view/ball_store, where the canonical-key path should be used instead.
+// view/ball_store, where the lockstep (P1) check should be used instead.
 
 namespace ldlb {
 

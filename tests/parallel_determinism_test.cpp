@@ -18,7 +18,6 @@
 #include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/util/error.hpp"
 #include "ldlb/util/thread_pool.hpp"
-#include "ldlb/view/isomorphism.hpp"
 #include "halts_only_in_base_case.hpp"
 
 namespace ldlb {
@@ -40,7 +39,6 @@ std::string certificate_bytes(const LowerBoundCertificate& cert) {
 
 std::string run_and_serialize(int delta, int threads) {
   PoolOverride pool(threads);
-  clear_ball_encoding_cache();
   SeqColorPacking alg{delta};
   AdversaryOptions opts;
   opts.verify_p2 = true;
@@ -107,7 +105,6 @@ TEST(ParallelDeterminism, TwoPhaseCertificatesByteIdentical) {
   const int delta = 5;
   auto run = [&](int threads) {
     PoolOverride pool(threads);
-    clear_ball_encoding_cache();
     TwoPhasePacking alg{delta};
     return certificate_bytes(run_adversary(alg, delta));
   };
@@ -127,12 +124,10 @@ TEST(ParallelDeterminism, ValidatorDecisionsMatchSerial) {
   std::vector<LevelValidation> serial, parallel;
   {
     PoolOverride pool(1);
-    clear_ball_encoding_cache();
     serial = validate_certificate(cert, alg, /*check_loopiness=*/true);
   }
   {
     PoolOverride pool(8);
-    clear_ball_encoding_cache();
     parallel = validate_certificate(cert, alg, /*check_loopiness=*/true);
   }
   ASSERT_EQ(serial.size(), parallel.size());
@@ -158,7 +153,6 @@ TEST(ParallelDeterminism, ValidatorRejectsTamperedCertificateIdentically) {
   cert.levels[1].g_weight += Rational(1);
   auto check = [&](int threads) {
     PoolOverride pool(threads);
-    clear_ball_encoding_cache();
     auto vs = validate_certificate(cert, alg, false);
     EXPECT_FALSE(vs[1].weights_match_stored) << "threads=" << threads;
     EXPECT_TRUE(vs[0].weights_match_stored) << "threads=" << threads;
@@ -265,7 +259,6 @@ TEST(ParallelDeterminism, TrippedBudgetFailsIdenticallyAcrossThreads) {
   std::string serial_error;
   for (int threads : {1, 2, 8}) {
     PoolOverride pool(threads);
-    clear_ball_encoding_cache();
     HaltsOnlyInBaseCase alg{delta};
     bool certified = false;
     std::string error;

@@ -414,6 +414,13 @@ class Indexer {
           if (!m_.ident(k - 2)) break;
           call.qualified = m_.at(k - 2) + "::" + call.qualified;
         }
+        // `x.name(` or `x->name(` ("->" is two punctuation tokens).
+        if (i >= 2 && m_.at(i - 1) == "." && m_.ident(i - 2)) {
+          call.receiver = m_.at(i - 2);
+        } else if (i >= 3 && m_.at(i - 1) == ">" && m_.at(i - 2) == "-" &&
+                   m_.ident(i - 3)) {
+          call.receiver = m_.at(i - 3);
+        }
         fn.calls.push_back(std::move(call));
         ++i;
         continue;

@@ -24,6 +24,8 @@ namespace ldlb::analyze {
 struct CallSite {
   std::string name;       // simple name, e.g. "now"
   std::string qualified;  // as written, e.g. "Clock::now"
+  std::string receiver;   // object of a member call: "cancel" in
+                          // `options.cancel->check()`; empty otherwise
   std::size_t pos = 0;    // byte offset into the stripped text
   int line = 0;
 };

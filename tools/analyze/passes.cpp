@@ -4,6 +4,7 @@
 // approximations: docs/STATIC_ANALYSIS.md, "Cross-TU analysis".
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <deque>
 #include <functional>
@@ -326,16 +327,30 @@ bool cancellation_scoped(const FileModel& file) {
          file.path.find("local/simulator") != std::string::npos;
 }
 
-const std::regex& poll_pattern() {
-  static const std::regex kPoll(
-      R"(\w*(?:[Cc]ancel|[Pp]oll|[Dd]eadline|[Ee]xpired)\w*)");
-  return kPoll;
+// The CancellationToken / Deadline poll API. A call polls only when it is
+// one of these, made on an object: `token.cancelled()`, `deadline.expired()`,
+// or `check()` on a receiver named for a token (`options.cancel->check()`).
+// Names alone prove nothing: an enum value `kCancelled` or a same-named
+// `check` elsewhere is not a poll.
+bool is_poll_api_name(const std::string& name) {
+  return name == "cancelled" || name == "expired" || name == "check";
+}
+
+bool is_poll_call(const CallSite& call) {
+  if (call.receiver.empty() || !is_poll_api_name(call.name)) return false;
+  if (call.name != "check") return true;
+  std::string receiver = call.receiver;
+  std::transform(receiver.begin(), receiver.end(), receiver.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  return receiver.find("cancel") != std::string::npos ||
+         receiver.find("token") != std::string::npos;
 }
 
 void run_cancellation(const SourceModel& model, std::vector<Diagnostic>& out) {
-  // reaches_poll fixpoint: a function polls directly when its body contains
-  // a cancel/poll/deadline/expired identifier, or transitively when any
-  // callee (resolved by name) polls. Reverse-edge BFS from the direct set.
+  // reaches_poll fixpoint: a function polls directly when its body calls
+  // the poll API (is_poll_call), or transitively when any callee (resolved
+  // by name) polls. Calls named like the API are decided at the call site
+  // only, never resolved by name. Reverse-edge BFS from the direct set.
   std::vector<std::pair<int, int>> fns;
   std::map<std::pair<int, int>, int> gid_of;
   for (int f = 0; f < static_cast<int>(model.files.size()); ++f) {
@@ -355,16 +370,13 @@ void run_cancellation(const SourceModel& model, std::vector<Diagnostic>& out) {
   std::vector<char> reaches(fns.size(), 0);
   std::deque<int> queue;
   for (int gid = 0; gid < static_cast<int>(fns.size()); ++gid) {
-    const auto [f, i] = fns[static_cast<std::size_t>(gid)];
-    const FileModel& file = model.files[static_cast<std::size_t>(f)];
     const Function& fn = fn_at(gid);
-    const std::string body =
-        file.stripped.text.substr(fn.body_begin, fn.body_end - fn.body_begin);
-    if (std::regex_search(body, poll_pattern())) {
+    if (std::any_of(fn.calls.begin(), fn.calls.end(), is_poll_call)) {
       reaches[static_cast<std::size_t>(gid)] = 1;
       queue.push_back(gid);
     }
     for (const CallSite& call : fn.calls) {
+      if (is_poll_api_name(call.name)) continue;
       const auto targets = model.by_name.find(call.name);
       if (targets == model.by_name.end()) continue;
       for (const auto& [tf, ti] : targets->second) {
@@ -386,14 +398,16 @@ void run_cancellation(const SourceModel& model, std::vector<Diagnostic>& out) {
     if (!cancellation_scoped(file)) continue;
     for (const Function& fn : file.functions) {
       for (const LoopSite& loop : fn.loops) {
-        const std::string span = file.stripped.text.substr(
-            loop.span_begin, loop.span_end - loop.span_begin);
-        if (std::regex_search(span, poll_pattern())) continue;
         bool ok = false;
         for (const CallSite& call : fn.calls) {
           if (call.pos < loop.span_begin || call.pos >= loop.span_end) {
             continue;
           }
+          if (is_poll_call(call)) {
+            ok = true;
+            break;
+          }
+          if (is_poll_api_name(call.name)) continue;
           const auto targets = model.by_name.find(call.name);
           if (targets == model.by_name.end()) continue;
           for (const auto& [tf, ti] : targets->second) {

@@ -183,8 +183,8 @@ std::vector<Rule> build_rules() {
     r.name = "ball-extraction";
     r.prefix = "raw ball extraction ";
     r.suffix =
-        " outside view/ball and view/ball_store; the hot path compares "
-        "canonical keys (balls_isomorphic_cached / canonical_ball_key) — "
+        " outside view/ball and view/ball_store; the (P1) check runs a "
+        "lockstep BFS on the host graphs (balls_isomorphic_at) — "
         "annotate any site that genuinely needs a materialised ball";
     Pattern p = pat(R"(\bextract_ball\s*\()", "extract_ball(");
     p.excludes = {"view/ball.", "view/ball_store."};

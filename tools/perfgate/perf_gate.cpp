@@ -1,11 +1,10 @@
 // Perf-regression gate for CI (scripts/ci.sh).
 //
 // Measures the min-of-N wall time of the full Δ-adversary chain plus
-// certificate validation — the hot path the canonical ball engine
-// (view/ball_store) accelerates — and compares it against a checked-in
-// baseline. Exits nonzero when the measured time regresses past the
-// allowed factor, so an accidental reintroduction of the exponential
-// isomorphism path fails CI in seconds instead of rotting silently.
+// certificate validation and compares it against a checked-in baseline.
+// Exits nonzero when the measured time regresses past the allowed factor,
+// so an accidental reintroduction of an exponential isomorphism path
+// fails CI in seconds instead of rotting silently.
 // Min-of-N because single-shot wall times on shared CI machines jitter
 // by 10-20%; the minimum is the stable statistic of a deterministic
 // computation.
@@ -26,12 +25,10 @@
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/core/certificate.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
-#include "ldlb/view/isomorphism.hpp"
 
 namespace {
 
 double run_once_ms(int delta) {
-  ldlb::clear_ball_encoding_cache();  // cold cache, like a fresh process
   ldlb::SeqColorPacking alg{delta};
   const auto t0 = std::chrono::steady_clock::now();
   ldlb::LowerBoundCertificate cert = ldlb::run_adversary(alg, delta);
@@ -105,8 +102,8 @@ int main(int argc, char** argv) {
             << " ms, tolerance " << factor << "x)\n";
   if (best > factor * baseline) {
     std::cerr << "perf gate: REGRESSION — " << best << " ms exceeds "
-              << factor << " x " << baseline << " ms; the canonical ball "
-              << "engine's speedup has been lost (see docs/PERFORMANCE.md)\n";
+              << factor << " x " << baseline << " ms; see "
+              << "docs/PERFORMANCE.md\n";
     return 1;
   }
   return 0;
